@@ -23,7 +23,6 @@ from .covers import (
     BettiVector,
     CoverError,
     CoverSpec,
-    boundary_rank_check,
     decompose,
     fibre_rank,
     specialize,

@@ -18,11 +18,12 @@ that square is the entire Maurer-Cartan equation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Matrix, candidate_coefficients
+from .linalg import Echelon, Matrix, Vector, candidate_coefficients, dense, echelon_of
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -265,14 +266,6 @@ def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
     return TwistedComplex(c.params, list(c.summands) + list(d.summands), delta)
 
 
-def canonical_order(c: TwistedComplex) -> TwistedComplex:
-    """Reindex summands into (position desc, vertex asc, old index) order."""
-    perm = sorted(range(len(c)), key=lambda i: (-c.summands[i].position, c.summands[i].vertex, i))
-    where = {old: new for new, old in enumerate(perm)}
-    delta = {(where[i], where[j]): combo for (i, j), combo in c.delta.items()}
-    return TwistedComplex(c.params, [c.summands[i] for i in perm], delta)
-
-
 # -- morphisms and hom complexes ------------------------------------------------------
 
 Gen = tuple[int, int, str]  # (source summand, target summand, basis name)
@@ -318,13 +311,6 @@ class Morphism:
                 accum((i2, j), cat.compose(fc, dc_), negate=sign_flip)
         return Morphism(self.source, self.target, self.degree + 1, out)
 
-    def is_closed(self) -> bool:
-        return not self.differential().comps
-
-
-def zero_morphism(c: TwistedComplex, d: TwistedComplex, degree: int = 0) -> Morphism:
-    return Morphism(c, d, degree, {})
-
 
 class HomComplex:
     """
@@ -333,6 +319,10 @@ class HomComplex:
     Generators in total degree g are triples (i, j, basis name) with
     deg(basis) - pos(i) + pos(j) = g; the differential is
     D(f) = delta_d . f - (-1)^g f . delta_c, checked to square to zero.
+    It is held sparse: columns[g][k] is the image of generator k of degree g
+    as {index in degree g+1: coefficient}. Ranks, kernels and cocycle
+    representatives come from eliminating those columns with linalg.Echelon;
+    differentials is a dense Matrix view for inspection only.
     """
 
     def __init__(self, c: TwistedComplex, d: TwistedComplex, check: bool = True):
@@ -352,106 +342,105 @@ class HomComplex:
         self.components = {g: tuple(gens) for g, gens in sorted(components.items())}
         self.index = {gen: (g, k) for g, gens in self.components.items() for k, gen in enumerate(gens)}
 
-        self.differentials: dict[int, Matrix] = {}
+        out_of: dict[int, list[tuple[int, Combo]]] = {}  # target delta by source summand
+        for (j, j2), combo in d.delta.items():
+            out_of.setdefault(j, []).append((j2, combo))
+        into: dict[int, list[tuple[int, Combo]]] = {}  # source delta by target summand
+        for (i2, i), combo in c.delta.items():
+            into.setdefault(i, []).append((i2, combo))
+        index = self.index
+        self.columns: dict[int, list[Vector]] = {}
         for g, gens in self.components.items():
-            nxt = self.components.get(g + 1, ())
-            rows = len(nxt)
-            mat = [[field.zero] * len(gens) for _ in range(rows)]
-            for col, gen in enumerate(gens):
-                image = self._apply_d(cat, field, gen, g)
-                for out_gen, coeff in image.items():
-                    slot = self.index.get(out_gen)
-                    if slot is None:
-                        raise ComplexError(f"hom differential leaves the graded module at {out_gen}")
-                    mat[slot[1]][col] = coeff
-            self.differentials[g] = Matrix(field, mat, cols=len(gens))
+            negate = g % 2 == 0  # the sign -(-1)^g
+            cols = []
+            for i, j, name in gens:
+                one = {name: field.one}
+                col: Vector = {}
+                for j2, combo in out_of.get(j, ()):
+                    _accumulate(field, index, col, i, j2, cat.compose(combo, one), False)
+                for i2, combo in into.get(i, ()):
+                    _accumulate(field, index, col, i2, j, cat.compose(one, combo), negate)
+                cols.append(col)
+            self.columns[g] = cols
         if check:
             self._check_square_zero()
 
-    def _apply_d(self, cat, field, gen: Gen, g: int) -> dict[Gen, object]:
-        i, j, name = gen
-        out: dict[Gen, object] = {}
+    def _check_square_zero(self):
+        field = self.params.field
+        for g, cols in self.columns.items():
+            nxt = self.columns.get(g + 1)
+            if nxt is None:
+                continue
+            for col in cols:
+                image: Vector = {}
+                for r, v in col.items():
+                    image = combo_add(field, image, nxt[r], scale=v)
+                if image:
+                    raise ComplexError(f"hom-complex differential fails D.D = 0 at degree {g}")
 
-        def accum(i2, j2, combo, negate):
-            for nm, coeff in combo.items():
-                key = (i2, j2, nm)
-                term = field.neg(coeff) if negate else coeff
-                acc = field.add(out.get(key, field.zero), term)
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-
-        one = {name: field.one}
-        for (jj, j2), combo in self.target.delta.items():
-            if jj == j:
-                accum(i, j2, cat.compose(combo, one), negate=False)
-        negate = g % 2 == 0  # the sign -(-1)^g
-        for (i2, ii), combo in self.source.delta.items():
-            if ii == i:
-                accum(i2, j, cat.compose(one, combo), negate=negate)
+    @functools.cached_property
+    def differentials(self) -> dict[int, Matrix]:
+        """The dense matrix of D out of each degree (rows: degree g+1, columns: degree g)."""
+        field = self.params.field
+        out = {}
+        for g, cols in self.columns.items():
+            rows = len(self.components.get(g + 1, ()))
+            mat = [[field.zero] * len(cols) for _ in range(rows)]
+            for k, col in enumerate(cols):
+                for r, v in col.items():
+                    mat[r][k] = v
+            out[g] = Matrix(field, mat, cols=len(cols), coerce=False)
         return out
 
-    def _check_square_zero(self):
-        for g, mat in self.differentials.items():
-            nxt = self.differentials.get(g + 1)
-            if nxt is None or mat.rows == 0 or nxt.rows == 0:
-                continue
-            if not nxt.mul(mat).is_zero():
-                raise ComplexError(f"hom-complex differential fails D.D = 0 at degree {g}")
+    def _echelon(self, g: int, track: bool = False) -> Echelon:
+        """The columns of D out of degree g, eliminated; with track, relations are its kernel basis."""
+        return echelon_of(self.params.field, self.columns.get(g, ()), track)
 
     def dimensions(self) -> dict[int, int]:
         return {g: len(gens) for g, gens in self.components.items()}
 
     def cohomology_ranks(self) -> dict[int, int]:
         ranks: dict[int, int] = {}
-        rank_of = {g: m.rank() for g, m in self.differentials.items()}
+        rank_of = {g: len(self._echelon(g)) for g in self.components}
         for g, gens in self.components.items():
             r = len(gens) - rank_of.get(g, 0) - rank_of.get(g - 1, 0)
             if r:
                 ranks[g] = r
         return ranks
 
+    def kernel(self, g: int) -> list[Vector]:
+        """The canonical kernel basis of D out of degree g, as sparse vectors."""
+        return self._echelon(g, track=True).relations
+
     def cocycle_representatives(self) -> dict[int, list[list]]:
         """
-        A deterministic cocycle basis of cohomology per degree: extend an
-        echelonized coboundary basis by kernel vectors, newest first.
+        A deterministic cocycle basis of cohomology per degree: the kernel
+        basis vectors, in order, that are independent modulo the coboundaries
+        and those already chosen.
         """
         field = self.params.field
         reps: dict[int, list[list]] = {}
         for g, gens in self.components.items():
-            dim = len(gens)
-            if dim == 0:
-                continue
-            span_rows: list[list] = []
-            below = self.differentials.get(g - 1)
-            if below is not None and below.rows:
-                for col in range(below.cols):
-                    vec = [below.entries[r][col] for r in range(below.rows)]
-                    _row_reduce_insert(field, span_rows, vec)
-            chosen = []
-            kernel = self.differentials[g].kernel_basis() if g in self.differentials else []
-            for vec in kernel:
-                if _row_reduce_insert(field, span_rows, vec):
-                    chosen.append(vec)
+            span = self._echelon(g - 1)
+            chosen = [dense(field, vec, len(gens)) for vec in self.kernel(g) if span.insert(vec)]
             if chosen:
                 reps[g] = chosen
         return reps
 
 
-def _row_reduce_insert(field, rows: list[list], vec: list) -> bool:
-    """Reduce vec against echelon rows; insert and report True if independent."""
-    v = list(vec)
-    for row in rows:
-        piv = next((k for k, x in enumerate(row) if x), None)
-        if piv is not None and v[piv]:
-            factor = field.mul(v[piv], field.inv(row[piv]))
-            v = [field.sub(a, field.mul(factor, b)) for a, b in zip(v, row)]
-    piv = next((k for k, x in enumerate(v) if x), None)
-    if piv is None:
-        return False
-    rows.append(v)
-    return True
+def _accumulate(field, index, col: Vector, i: int, j: int, combo: Combo, negate: bool) -> None:
+    """Add the image combo at slot (i, j) into a hom-differential column."""
+    for name, coeff in combo.items():
+        gen = (i, j, name)
+        slot = index.get(gen)
+        if slot is None:
+            raise ComplexError(f"hom differential leaves the graded module at {gen}")
+        row = slot[1]
+        acc = field.add(col.get(row, field.zero), field.neg(coeff) if negate else coeff)
+        if acc:
+            col[row] = acc
+        else:
+            col.pop(row, None)
 
 
 def hom_complex(c: TwistedComplex, d: TwistedComplex, check: bool = True) -> HomComplex:
@@ -568,40 +557,38 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
 
     hom = hom_complex(cm, dm, check=False)
     gens0 = hom.components.get(0, ())
-    d0 = hom.differentials.get(0)
-    if d0 is None or not gens0:
+    if not gens0:
         return INCONCLUSIVE
-    kernel = d0.kernel_basis()
+    kernel = [sorted(vec.items()) for vec in hom.kernel(0)]
     if not kernel:
         return INCONCLUSIVE
 
     field = c.params.field
     size = len(cm)
     unit_names = {"e0", "e1"}
-    eblocks = []
+    eblocks = []  # the unit part of each kernel vector, as sparse {(row, col): value} blocks
     for vec in kernel:
-        rows = [[field.zero] * size for _ in range(size)]
-        for idx, (i, j, name) in enumerate(gens0):
-            if name in unit_names and vec[idx]:
-                rows[j][i] = field.add(rows[j][i], vec[idx])
-        eblocks.append(Matrix(field, rows, cols=size))
+        eb: dict[tuple[int, int], object] = {}
+        for idx, val in vec:
+            i, j, name = gens0[idx]
+            if name in unit_names:
+                eb[(j, i)] = field.add(eb.get((j, i), field.zero), val)
+        eblocks.append(eb)
 
-    zero = Matrix.zeros(field, size, size)
     for coeffs in candidate_coefficients(field, len(kernel), seed):
-        block = zero
+        rows = [[field.zero] * size for _ in range(size)]
         for cf, eb in zip(coeffs, eblocks):
             if cf:
-                block = block.add(eb.scale(cf))
-        if not block.det_nonzero():
+                for (r, s), val in eb.items():
+                    rows[r][s] = field.add(rows[r][s], field.mul(cf, val))
+        if not Matrix(field, rows, cols=size, coerce=False).det_nonzero():
             continue
         comps: dict[tuple[int, int], Combo] = {}
         for k, cf in enumerate(coeffs):
             if not cf:
                 continue
-            for idx, (i, j, name) in enumerate(gens0):
-                val = kernel[k][idx]
-                if not val:
-                    continue
+            for idx, val in kernel[k]:
+                i, j, name = gens0[idx]
                 slot = comps.setdefault((i, j), {})
                 acc = field.add(slot.get(name, field.zero), field.mul(cf, val))
                 if acc:

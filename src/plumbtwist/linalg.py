@@ -3,14 +3,15 @@ Exact scalar and matrix arithmetic over a prime field or the rationals.
 
 Scalars are plain Python objects: ints in [0, p) for characteristic p, and
 fractions.Fraction for characteristic 0. A Field instance owns the arithmetic,
-so values stay cheap to hash and copy. Matrices are dense; everything in this
-engine lives at desk scale (well under 10^3 summands), so no sparsity games.
+so values stay cheap to hash and copy. There is no floating point anywhere in
+this package.
 
-Elimination over a prime field runs on numpy int64 internally: with the
-default p = 32003 we have p^2 < 2^63, so a multiply-accumulate step never
-overflows and every intermediate is reduced mod p. Characteristic 0 uses
-Fraction rows in pure Python. Both paths are exact; there is no floating
-point anywhere in this package.
+All elimination runs on one routine, Echelon: sparse {index: value} rows in
+echelon form, each led by its smallest index with value one. It optionally
+tracks which inserted vectors each row combines, which yields kernels and
+solutions. Hom complexes feed it their sparse differential columns directly;
+the small dense Matrix class (block checks in the normalizer and covers, the
+oracle's candidate blocks, tests) runs rank, kernel, solve and rref on it too.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 def is_prime(m: int) -> bool:
@@ -120,14 +120,126 @@ class Field:
         return list(range(self.characteristic))
 
 
+Vector = dict  # {index: field element}, zero values never stored
+
+
+def _subtract(v: Vector, row: Vector, a, p: int, pivots=None, heap=None) -> None:
+    """v -= a * row in place over F_p (p = 0: the rationals), dropping zeros.
+    Indices that become nonzero and are keys of pivots are pushed on heap."""
+    for k, x in row.items():
+        y = v.get(k)
+        if y is None:
+            v[k] = -a * x % p if p else -a * x
+            if heap is not None and k in pivots:
+                heappush(heap, k)
+        else:
+            y = (y - a * x) % p if p else y - a * x
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+
+
+class Echelon:
+    """
+    Sparse vectors in echelon form over a Field.
+
+    Rows are {index: value} dicts keyed by their pivot, the smallest index
+    present, where the value is one; len() is the rank of everything inserted.
+    With track=True each row also carries its combination of the inserted
+    vectors, keyed by insertion order. An inserted vector that reduces to zero
+    then leaves a relation (coefficient one on itself, the rest on earlier
+    independent vectors). When the inserted vectors are the columns of a
+    matrix, the relations are its canonical kernel basis: identity on the free
+    columns, the greedy leftmost independent columns as pivots.
+    """
+
+    __slots__ = ("field", "rows", "combos", "relations", "count")
+
+    def __init__(self, field: Field, track: bool = False):
+        self.field = field
+        self.rows: dict[int, Vector] = {}
+        self.combos: dict[int, Vector] | None = {} if track else None
+        self.relations: list[Vector] = []
+        self.count = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec: Vector, combo: Vector | None = None) -> tuple[Vector, Vector | None]:
+        """vec reduced against the rows, and combo (a copy) minus the combinations used."""
+        rows, p = self.rows, self.field.characteristic
+        v = dict(vec)
+        combo = dict(combo) if combo is not None else None
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            a = v.get(c)
+            if a is None:
+                continue
+            # Rows are led by their pivot, so this only touches larger indices.
+            _subtract(v, rows[c], a, p, rows, heap)
+            if combo is not None:
+                _subtract(combo, self.combos[c], a, p)
+        return v, combo
+
+    def insert(self, vec: Vector) -> bool:
+        """Add vec; True when it was independent of the rows (and is now one)."""
+        f = self.field
+        tracked = self.combos is not None
+        v, combo = self.reduce(vec, {self.count: f.one} if tracked else None)
+        self.count += 1
+        if not v:
+            if tracked:
+                self.relations.append(combo)
+            return False
+        pivot = min(v)
+        a = v[pivot]
+        if a != 1:
+            inv = f.inv(a)
+            v = {k: f.mul(x, inv) for k, x in v.items()}
+            if tracked:
+                combo = {k: f.mul(x, inv) for k, x in combo.items()}
+        self.rows[pivot] = v
+        if tracked:
+            self.combos[pivot] = combo
+        return True
+
+
+def echelon_of(field: Field, vectors: Iterable[Vector], track: bool = False) -> Echelon:
+    """An Echelon with every vector inserted, in order."""
+    ech = Echelon(field, track)
+    for vec in vectors:
+        ech.insert(vec)
+    return ech
+
+
+def dense(field: Field, vec: Vector, size: int) -> list:
+    """A sparse vector written out as a list of the given length."""
+    out = [field.zero] * size
+    for k, x in vec.items():
+        out[k] = x
+    return out
+
+
 class Matrix:
-    """A dense rows x cols matrix over a Field. Values are immutable by convention."""
+    """
+    A small dense rows x cols matrix over a Field. Values are immutable by
+    convention. Public construction coerces every entry through
+    Field.element; internal constructors pass coerce=False with entries that
+    are already canonical.
+    """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
-    def __init__(self, field: Field, entries: Sequence[Sequence], cols: int | None = None):
+    def __init__(self, field: Field, entries: Sequence[Sequence], cols: int | None = None, coerce: bool = True):
         self.field = field
-        self.entries = tuple(tuple(field.element(v) for v in row) for row in entries)
+        if coerce:
+            element = field.element
+            self.entries = tuple(tuple(element(v) for v in row) for row in entries)
+        else:
+            self.entries = tuple(map(tuple, entries))
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else (cols or 0)
         if any(len(row) != self.cols for row in self.entries):
@@ -138,12 +250,12 @@ class Matrix:
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls(field, [[z] * cols for _ in range(rows)], cols=cols, coerce=False)
 
     @classmethod
     def identity(cls, field: Field, size: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(size)] for i in range(size)])
+        return cls(field, [[o if i == j else z for j in range(size)] for i in range(size)], coerce=False)
 
     # -- basics ----------------------------------------------------------------
 
@@ -168,33 +280,34 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if self.rows == 0:
             return Matrix(self.field, [[] for _ in range(self.cols)] if self.cols else [], cols=0)
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
+        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows, coerce=False)
 
     def add(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
         f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+                      cols=self.cols, coerce=False)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.element(c)
-        return Matrix(f, [[f.mul(c, v) for v in row] for row in self.entries])
+        return Matrix(f, [[f.mul(c, v) for v in row] for row in self.entries], cols=self.cols, coerce=False)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product, in plain exact arithmetic, skipping zero entries."""
         assert self.cols == other.rows, "shape mismatch"
         f = self.field
-        if f.characteristic:
-            p = f.characteristic
-            a = np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-            b = np.array(other.entries, dtype=np.int64).reshape(other.rows, other.cols)
-            # Split the inner dimension so each partial sum stays below 2^63.
-            out = np.zeros((self.rows, other.cols), dtype=np.int64)
-            step = max(1, (1 << 62) // max(1, (p - 1) * (p - 1)))
-            for k0 in range(0, self.cols, step):
-                out = (out + a[:, k0:k0 + step] @ b[k0:k0 + step, :]) % p
-            return Matrix(f, out.tolist())
-        ot = list(zip(*other.entries)) if other.entries else []
-        return Matrix(f, [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot] for row in self.entries])
+        p = f.characteristic
+        out = []
+        for row in self.entries:
+            acc = [f.zero] * other.cols
+            for a, brow in zip(row, other.entries):
+                if a:
+                    for k, b in enumerate(brow):
+                        if b:
+                            acc[k] += a * b
+            out.append([x % p for x in acc] if p else acc)
+        return Matrix(f, out, cols=other.cols, coerce=False)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector."""
@@ -212,104 +325,58 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------------
 
+    def _row_vectors(self) -> list[Vector]:
+        return [{k: v for k, v in enumerate(row) if v} for row in self.entries]
+
+    def _column_vectors(self) -> list[Vector]:
+        cols: list[Vector] = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.entries):
+            for k, v in enumerate(row):
+                if v:
+                    cols[k][r] = v
+        return cols
+
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column list."""
         f = self.field
         if self.rows == 0 or self.cols == 0:
             return self, []
-        if f.characteristic:
-            arr = np.array(self.entries, dtype=np.int64)
-            red, pivots = _rref_modp(arr, f.characteristic)
-            return Matrix(f, red.tolist()), pivots
-        red, pivots = _rref_fraction([list(r) for r in self.entries])
-        return Matrix(f, red), pivots
+        rows = echelon_of(f, self._row_vectors()).rows
+        pivots = sorted(rows)
+        p = f.characteristic
+        # Back-substitute from the last pivot up, so each row subtracted is already reduced.
+        for c in reversed(pivots):
+            row = rows[c]
+            for c2 in [k for k in row if k != c and k in rows]:
+                _subtract(row, rows[c2], row[c2], p)
+        out = [dense(f, rows[c], self.cols) for c in pivots]
+        out += [[f.zero] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(f, out, coerce=False), pivots
 
     def rank(self) -> int:
         """Row rank over the field."""
-        return len(self.rref()[1])
+        return len(echelon_of(self.field, self._row_vectors()))
 
     def kernel_basis(self) -> list[list]:
-        """A basis of the right kernel {x : Mx = 0}; size = cols - rank."""
-        f = self.field
-        red, pivots = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for j in free:
-            vec = [f.zero] * self.cols
-            vec[j] = f.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg(red.entries[r][j])
-            basis.append(vec)
-        return basis
+        """The canonical basis of the right kernel {x : Mx = 0}; size = cols - rank."""
+        ech = echelon_of(self.field, self._column_vectors(), track=True)
+        return [dense(self.field, vec, self.cols) for vec in ech.relations]
 
     def solve(self, b: Sequence) -> list | None:
-        """Some x with Mx = b, or None when the system is inconsistent."""
+        """Some x with Mx = b (zero off the pivot columns), or None when the system is inconsistent."""
         f = self.field
         b = [f.element(v) for v in b]
         assert len(b) == self.rows, "right-hand side length must equal rows"
-        aug = Matrix(f, [list(row) + [bv] for row, bv in zip(self.entries, b)] if self.rows else [])
-        if self.rows == 0:
-            return [f.zero] * self.cols
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        ech = echelon_of(f, self._column_vectors(), track=True)
+        rest, combo = ech.reduce({r: v for r, v in enumerate(b) if v}, {})
+        if rest:
             return None
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return x
+        return dense(f, {k: f.neg(v) for k, v in combo.items()}, self.cols)
 
     def det_nonzero(self) -> bool:
         """Whether a square matrix is invertible."""
         assert self.rows == self.cols
         return self.rank() == self.rows
-
-
-def _rref_modp(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.mod(arr, p)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
 
 
 # -- affine families of square matrices -------------------------------------------

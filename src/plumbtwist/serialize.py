@@ -37,15 +37,20 @@ def params_to_dict(params: CategoryParams) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools and floats do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def params_from_dict(doc: dict) -> CategoryParams:
     for key in ("n", "char"):
         if key not in doc:
             raise DocumentError(f"document is missing the required field {key!r}")
-        if not isinstance(doc[key], int):
+        if not _is_int(doc[key]):
             raise DocumentError(f"field {key!r} must be an integer, got {doc[key]!r}")
     betti0 = doc.get("betti0")
     if betti0 is not None:
-        if not isinstance(betti0, list) or not all(isinstance(v, int) for v in betti0):
+        if not isinstance(betti0, list) or not all(_is_int(v) for v in betti0):
             raise DocumentError("betti0 must be a list of integers")
         betti0 = tuple(betti0)
     try:
@@ -76,8 +81,7 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
         raise DocumentError("field 'summands' must be a list")
     summands = []
     for k, item in enumerate(raw_summands):
-        if not isinstance(item, dict) or not isinstance(item.get("vertex"), int) \
-                or not isinstance(item.get("position"), int):
+        if not isinstance(item, dict) or not _is_int(item.get("vertex")) or not _is_int(item.get("position")):
             raise DocumentError(f"summand {k} must be an object with integer 'vertex' and 'position'")
         if item["vertex"] not in (0, 1):
             raise DocumentError(f"summand {k} has vertex {item['vertex']}, expected 0 or 1")
@@ -95,15 +99,17 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
             coeff = item["coeff"]
         except KeyError as exc:
             raise DocumentError(f"differential entry {k} is missing {exc.args[0]!r}") from exc
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise DocumentError(f"differential entry {k}: 'from' and 'to' must be summand indices")
         if not (0 <= i < len(summands)) or not (0 <= j < len(summands)):
             raise DocumentError(f"differential entry {k}: summand index out of range ({i} -> {j})")
         if not isinstance(basis, str):
             raise DocumentError(f"differential entry {k}: 'basis' must be a string")
+        if not isinstance(coeff, str) and not _is_int(coeff):
+            raise DocumentError(f"differential entry {k}: coefficient {coeff!r} must be an integer or a string")
         try:
-            value = field.element(coeff) if isinstance(coeff, str) else field.element(int(coeff))
-        except (ValueError, TypeError) as exc:
+            value = field.element(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"differential entry {k}: bad coefficient {coeff!r}: {exc}") from exc
         if value:
             slot = delta.setdefault((i, j), {})

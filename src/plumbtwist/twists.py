@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .category import CategoryParams, ParameterError, make_params
+from .category import make_params
 from .complexes import (
     Morphism,
     Summand,
@@ -160,10 +160,7 @@ def core_orbit_witness(n: int, characteristic: int = 32003, max_length: int = 4)
     A braid word w and shift s with apply_braid(w, Q0) equivalent to Q1[s],
     found by breadth-first search over words of length <= max_length.
     """
-    try:
-        params = make_params(n, characteristic)
-    except ParameterError:
-        raise
+    params = make_params(n, characteristic)
     q0 = single_core(params, 0)
     for length in range(1, max_length + 1):
         for letters in itertools.product(LETTERS, repeat=length):

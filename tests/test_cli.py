@@ -86,6 +86,56 @@ def test_rational_coefficients_round_trip():
     assert parse_complex(json.dumps(doc)).delta == c.delta
 
 
+def _hostile(**override):
+    """A valid complex Q0 -p-> Q1 with one value replaced."""
+    summand = {"vertex": override.get("vertex", 0), "position": 0}
+    entry = {"from": 0, "to": 1, "basis": "p", "coeff": override.get("coeff", "1")}
+    return json.dumps({"n": 3, "char": 32003, "summands": [summand, {"vertex": 1, "position": 0}],
+                       "differential": [entry]})
+
+
+HOSTILE = {
+    "float-coeff": _hostile(coeff=0.5),
+    "bool-coeff": _hostile(coeff=True),
+    "bool-vertex": _hostile(vertex=True),
+    "zero-denominator": _hostile(coeff="1/0"),
+}
+
+
+def test_hostile_baseline_parses():
+    assert parse_complex(_hostile()).delta == {(0, 1): {"p": 1}}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_parse_rejects_hostile_values(name):
+    with pytest.raises(DocumentError):
+        parse_complex(HOSTILE[name])
+
+
+@pytest.mark.parametrize("key, value", [("n", True), ("n", 3.0), ("char", False), ("char", 2.0)])
+def test_parse_rejects_non_integer_parameters(key, value):
+    doc = json.loads(MINIMAL)
+    doc[key] = value
+    with pytest.raises(DocumentError):
+        parse_complex(json.dumps(doc))
+
+
+def test_parse_rejects_bool_betti_and_indices():
+    doc = json.loads(MINIMAL)
+    doc["betti0"] = [True, 0, 0, 0, 1]
+    with pytest.raises(DocumentError):
+        parse_complex(json.dumps(doc))
+    doc = json.loads(_hostile())
+    doc["summands"][0]["position"] = 0.0
+    with pytest.raises(DocumentError):
+        parse_complex(json.dumps(doc))
+    doc = json.loads(_hostile())
+    doc["differential"][0]["from"] = False
+    with pytest.raises(DocumentError):
+        parse_complex(json.dumps(doc))
+
+
+
 # -- CLI commands ----------------------------------------------------------------------
 
 
@@ -221,3 +271,19 @@ def test_cli_outputs_bit_identical(tmp_path):
     a = run_cli("twist", "--in", str(f), "--letter", "s1")
     b = run_cli("twist", "--in", str(f), "--letter", "s1")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_cli_hostile_document_is_schema_error(tmp_path, name):
+    f = tmp_path / "hostile.json"
+    f.write_text(HOSTILE[name])
+    proc = run_cli("validate", "--in", str(f))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["error"] == "schema-error"
+
+
+def test_cli_import_leaves_numpy_out():
+    probe = "import sys, plumbtwist.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
