@@ -40,7 +40,7 @@ from .covers import (
     specialize,
     truncation_feasibility,
 )
-from .linalg import Field, Matrix, generic_invertible
+from .linalg import Field, Matrix, invertible_combinations
 from .normalizer import (
     Certificate,
     ComplexityReport,

@@ -112,7 +112,6 @@ class Category:
             (1, 0): (BasisMorphism("q", 1, 0, n - 1),),
         }
         self.by_name = {m.name: m for sp in self._spaces.values() for m in sp}
-        self._basis_index = {m.name: i for sp in self._spaces.values() for i, m in enumerate(sp)}
         self._table = self._build_table(betti)
 
     # -- morphism spaces -------------------------------------------------------
@@ -121,17 +120,8 @@ class Category:
         """All basis morphisms Q_i -> Q_j, in increasing degree."""
         return self._spaces[(i, j)]
 
-    def basis_in_degree(self, i: int, j: int, degree: int) -> tuple[BasisMorphism, ...]:
-        return tuple(m for m in self._spaces[(i, j)] if m.degree == degree)
-
-    def basis_index(self, name: str) -> int:
-        return self._basis_index[name]
-
     def unit(self, vertex: int) -> BasisMorphism:
         return self.by_name["e0" if vertex == 0 else "e1"]
-
-    def top(self, vertex: int) -> BasisMorphism:
-        return self.by_name["f0" if vertex == 0 else "f1"]
 
     # -- composition -------------------------------------------------------------
 

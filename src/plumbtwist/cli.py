@@ -6,7 +6,8 @@ writes one canonical JSON report to stdout (rank-table writes CSV instead).
 Exit codes: 0 on success, 1 on mathematical rejection (invalid or
 inadmissible input, incompatible cover), 2 on usage or schema errors.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
-goes to stderr and only with --timing.
+goes to stderr and only with --timing. A report's "inputs" field is the
+sha256 of the arguments and of the text of every document the command read.
 """
 
 from __future__ import annotations
@@ -55,20 +56,24 @@ class CliFailure(Exception):
         super().__init__(detail)
 
 
-def _read(path: str) -> str:
+def _read(path: str, documents: list[str]) -> str:
+    """The text at path ('-' for stdin), also appended to documents."""
     if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliFailure(USAGE, "unreadable-input", f"cannot read {path}: {exc}") from exc
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliFailure(USAGE, "unreadable-input", f"cannot read {path}: {exc}") from exc
+    documents.append(text)
+    return text
 
 
-def _load_complex(path: str):
-    text = _read(path)
+def _load_complex(path: str, documents: list[str]):
+    text = _read(path, documents)
     try:
-        return parse_complex(text), text
+        return parse_complex(text)
     except ValidationRejection as exc:
         raise CliFailure(REJECTED, "validation-error", str(exc)) from exc
     except DocumentError as exc:
@@ -139,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args) -> tuple[dict | str, int]:
-    """Execute a parsed command, returning (payload, exit code)."""
+def run(args, documents: list[str]) -> tuple[dict | str, int]:
+    """Execute a parsed command, returning (payload, exit code); each document read is appended to documents."""
     cmd = args.command
 
     if cmd == "validate":
-        text = _read(args.infile)
+        text = _read(args.infile, documents)
         try:
             parse_complex(text)
         except ValidationRejection as exc:
@@ -160,15 +165,15 @@ def run(args) -> tuple[dict | str, int]:
         return {"ok": True, "violations": []}, OK
 
     if cmd == "hf":
-        a, _ = _load_complex(args.a)
-        b, _ = _load_complex(args.b)
+        a = _load_complex(args.a, documents)
+        b = _load_complex(args.b, documents)
         if a.params != b.params:
             raise CliFailure(USAGE, "usage-error", "the two complexes carry different category parameters")
         ranks = hf_ranks(a, b)
         return {"ranks": {str(k): v for k, v in sorted(ranks.items())}, "total": total_rank(ranks)}, OK
 
     if cmd == "twist":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         word = parse_word(args.letter)
         if len(word) != 1:
             raise CliFailure(USAGE, "usage-error", "--letter takes exactly one letter")
@@ -176,7 +181,7 @@ def run(args) -> tuple[dict | str, int]:
         return {"complex": complex_to_dict(out)}, OK
 
     if cmd == "braid":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         try:
             word = parse_word(args.word)
         except ValueError as exc:
@@ -184,7 +189,7 @@ def run(args) -> tuple[dict | str, int]:
         return {"complex": complex_to_dict(apply_braid(word, c))}, OK
 
     if cmd == "normalize":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         try:
             cert = normalize(c, seed=args.seed)
         except InadmissibleInput as exc:
@@ -194,14 +199,14 @@ def run(args) -> tuple[dict | str, int]:
         return {"certificate": cert.to_dict()}, OK
 
     if cmd == "equiv":
-        a, _ = _load_complex(args.a)
-        b, _ = _load_complex(args.b)
+        a = _load_complex(args.a, documents)
+        b = _load_complex(args.b, documents)
         if a.params != b.params:
             raise CliFailure(USAGE, "usage-error", "the two complexes carry different category parameters")
         return {"verdict": equivalent(a, b, seed=args.seed)}, OK
 
     if cmd == "specialize":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         index = args.cover_index
         if index != INFINITE:
             try:
@@ -215,11 +220,11 @@ def run(args) -> tuple[dict | str, int]:
         return {"complex": complex_to_dict(out)}, OK
 
     if cmd == "decompose":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         return {"pieces": [complex_to_dict(p) for p in decompose(c)]}, OK
 
     if cmd == "fibre-rank":
-        c, _ = _load_complex(args.infile)
+        c = _load_complex(args.infile, documents)
         ranks = fibre_rank(c, args.vertex)
         return {"ranks": {str(k): v for k, v in sorted(ranks.items())}, "total": total_rank(ranks)}, OK
 
@@ -270,8 +275,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code else OK
     started = time.monotonic()
+    documents: list[str] = []
     try:
-        payload, code = run(args)
+        payload, code = run(args, documents)
     except CliFailure as exc:
         payload, code = {"error": exc.reason, "detail": exc.detail}, exc.code
     except (ParameterError, ValueError) as exc:
@@ -280,8 +286,8 @@ def main(argv=None) -> int:
     if isinstance(payload, str):
         text = payload  # CSV output
     else:
-        report = {"command": args.command, "inputs": _digest(canonical_json(sys.argv[1:] if argv is None else list(argv))),
-                  "outputs": payload}
+        inputs = _digest(canonical_json(sys.argv[1:] if argv is None else list(argv)), *documents)
+        report = {"command": args.command, "inputs": inputs, "outputs": payload}
         text = canonical_json(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

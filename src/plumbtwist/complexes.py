@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Echelon, Matrix, Vector, candidate_coefficients, dense, echelon_of
+from .linalg import Echelon, Matrix, Vector, axpy, dense, echelon_of, graded_ranks, invertible_combinations
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -117,26 +117,6 @@ def empty_complex(params: CategoryParams) -> TwistedComplex:
     return TwistedComplex(params, [])
 
 
-# -- combo helpers ------------------------------------------------------------------
-
-
-def combo_add(field, a: Combo, b: Combo, scale=None) -> Combo:
-    """a + scale*b (scale defaults to 1), dropping zeros."""
-    out = dict(a)
-    for name, c in b.items():
-        term = field.mul(scale, c) if scale is not None else c
-        acc = field.add(out.get(name, field.zero), term)
-        if acc:
-            out[name] = acc
-        else:
-            out.pop(name, None)
-    return out
-
-
-def combo_neg(field, a: Combo) -> Combo:
-    return {name: field.neg(c) for name, c in a.items()}
-
-
 # -- validation ----------------------------------------------------------------------
 
 
@@ -224,9 +204,7 @@ def maurer_cartan_defects(c: TwistedComplex) -> list[Violation]:
     square: dict[tuple[int, int], Combo] = {}
     for (i, j), first in c.delta.items():
         for k, second in by_source.get(j, ()):
-            term = cat.compose(second, first)
-            if term:
-                square[(i, k)] = combo_add(field, square.get((i, k), {}), term)
+            axpy(square.setdefault((i, k), {}), cat.compose(second, first), 1, field.characteristic)
     out = []
     for (i, k), combo in sorted(square.items()):
         if combo:
@@ -282,34 +260,23 @@ class Morphism:
 
     def differential(self) -> "Morphism":
         """D(f) = delta_target . f - (-1)^deg f . delta_source."""
-        field = self.source.params.field
+        p = self.source.params.field.characteristic
         cat = self.source.category
-        sign_flip = self.degree % 2 == 0  # subtract when degree is even
+        sign = -1 if self.degree % 2 == 0 else 1  # subtract when degree is even
         out: dict[tuple[int, int], Combo] = {}
-
-        def accum(slot, combo, negate):
-            if not combo:
-                return
-            add = combo_neg(field, combo) if negate else combo
-            acc = combo_add(field, out.get(slot, {}), add)
-            if acc:
-                out[slot] = acc
-            else:
-                out.pop(slot, None)
-
         tgt_by_source: dict[int, list[tuple[int, Combo]]] = {}
         for (j, j2), combo in self.target.delta.items():
             tgt_by_source.setdefault(j, []).append((j2, combo))
         for (i, j), fc in self.comps.items():
             for j2, dc_ in tgt_by_source.get(j, ()):
-                accum((i, j2), cat.compose(dc_, fc), negate=False)
+                axpy(out.setdefault((i, j2), {}), cat.compose(dc_, fc), 1, p)
         src_by_target: dict[int, list[tuple[int, Combo]]] = {}
         for (i2, i), combo in self.source.delta.items():
             src_by_target.setdefault(i, []).append((i2, combo))
         for (i, j), fc in self.comps.items():
             for i2, dc_ in src_by_target.get(i, ()):
-                accum((i2, j), cat.compose(fc, dc_), negate=sign_flip)
-        return Morphism(self.source, self.target, self.degree + 1, out)
+                axpy(out.setdefault((i2, j), {}), cat.compose(fc, dc_), sign, p)
+        return Morphism(self.source, self.target, self.degree + 1, {slot: c for slot, c in out.items() if c})
 
 
 class HomComplex:
@@ -366,7 +333,7 @@ class HomComplex:
             self._check_square_zero()
 
     def _check_square_zero(self):
-        field = self.params.field
+        p = self.params.field.characteristic
         for g, cols in self.columns.items():
             nxt = self.columns.get(g + 1)
             if nxt is None:
@@ -374,7 +341,7 @@ class HomComplex:
             for col in cols:
                 image: Vector = {}
                 for r, v in col.items():
-                    image = combo_add(field, image, nxt[r], scale=v)
+                    axpy(image, nxt[r], v, p)
                 if image:
                     raise ComplexError(f"hom-complex differential fails D.D = 0 at degree {g}")
 
@@ -400,13 +367,7 @@ class HomComplex:
         return {g: len(gens) for g, gens in self.components.items()}
 
     def cohomology_ranks(self) -> dict[int, int]:
-        ranks: dict[int, int] = {}
-        rank_of = {g: len(self._echelon(g)) for g in self.components}
-        for g, gens in self.components.items():
-            r = len(gens) - rank_of.get(g, 0) - rank_of.get(g - 1, 0)
-            if r:
-                ranks[g] = r
-        return ranks
+        return graded_ranks(self.params.field, self.dimensions(), self.columns)
 
     def kernel(self, g: int) -> list[Vector]:
         """The canonical kernel basis of D out of degree g, as sparse vectors."""
@@ -416,15 +377,22 @@ class HomComplex:
         """
         A deterministic cocycle basis of cohomology per degree: the kernel
         basis vectors, in order, that are independent modulo the coboundaries
-        and those already chosen.
+        and those already chosen. Each degree is eliminated once: its tracked
+        echelon gives the kernel, and its rows, the same as untracked ones,
+        span the coboundaries of the next degree.
         """
         field = self.params.field
         reps: dict[int, list[list]] = {}
+        below, below_degree = None, None
         for g, gens in self.components.items():
-            span = self._echelon(g - 1)
-            chosen = [dense(field, vec, len(gens)) for vec in self.kernel(g) if span.insert(vec)]
+            ech = self._echelon(g, track=True)
+            span = Echelon(field)
+            if below_degree == g - 1:
+                span.rows = dict(below.rows)  # insert adds rows but never changes one
+            chosen = [dense(field, vec, len(gens)) for vec in ech.relations if span.insert(vec)]
             if chosen:
                 reps[g] = chosen
+            below, below_degree = ech, g
         return reps
 
 
@@ -473,12 +441,12 @@ def cone(f: Morphism) -> TwistedComplex:
     if dfail:
         raise ComplexError(f"cone needs a closed morphism; D(f) is nonzero at slots {sorted(dfail)}")
     c, d = f.source, f.target
-    field = c.params.field
+    p = c.params.field.characteristic
     summands = [Summand(s.vertex, s.position - 1) for s in c.summands] + list(d.summands)
     off = len(c)
     delta: dict[tuple[int, int], Combo] = {}
     for (i, j), combo in c.delta.items():
-        delta[(i, j)] = combo_neg(field, combo)
+        delta[(i, j)] = axpy({}, combo, -1, p)
     for (i, j), combo in f.comps.items():
         delta[(i, off + j)] = dict(combo)
     for (i, j), combo in d.delta.items():
@@ -495,6 +463,7 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
     is preserved and the result carries no identity arrows. Idempotent.
     """
     field = c.params.field
+    p = field.characteristic
     cat = c.category
     unit_names = {"e0", "e1"}
     alive = set(range(len(c)))
@@ -511,7 +480,7 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
         if pick is None:
             break
         a, b, lam = pick
-        lam_inv = field.inv(lam)
+        scale = field.neg(field.inv(lam))
         into_b = [(x, combo) for (x, y), combo in delta.items() if y == b and x != a]
         out_of_a = [(y, combo) for (x, y), combo in delta.items() if x == a and y != b]
         for x, xb in into_b:
@@ -519,11 +488,8 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
                 corr = cat.compose(ay, xb)
                 if not corr:
                     continue
-                updated = combo_add(field, delta.get((x, y), {}), corr, scale=field.neg(lam_inv))
-                if updated:
-                    delta[(x, y)] = updated
-                else:
-                    delta.pop((x, y), None)
+                if not axpy(delta.setdefault((x, y), {}), corr, scale, p):
+                    del delta[(x, y)]
         alive.discard(a)
         alive.discard(b)
         for key in [k for k in delta if a in k or b in k]:
@@ -559,43 +525,29 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     gens0 = hom.components.get(0, ())
     if not gens0:
         return INCONCLUSIVE
-    kernel = [sorted(vec.items()) for vec in hom.kernel(0)]
+    kernel = hom.kernel(0)
     if not kernel:
         return INCONCLUSIVE
 
     field = c.params.field
-    size = len(cm)
     unit_names = {"e0", "e1"}
-    eblocks = []  # the unit part of each kernel vector, as sparse {(row, col): value} blocks
+    eblocks = []  # the unit part of each kernel vector, as a sparse {(row, col): value} block
     for vec in kernel:
-        eb: dict[tuple[int, int], object] = {}
-        for idx, val in vec:
+        eb = {}
+        for idx, val in vec.items():
             i, j, name = gens0[idx]
             if name in unit_names:
-                eb[(j, i)] = field.add(eb.get((j, i), field.zero), val)
+                eb[(j, i)] = val
         eblocks.append(eb)
-
-    for coeffs in candidate_coefficients(field, len(kernel), seed):
-        rows = [[field.zero] * size for _ in range(size)]
-        for cf, eb in zip(coeffs, eblocks):
+    for coeffs in invertible_combinations(field, len(cm), eblocks, seed):
+        acc: Vector = {}
+        for cf, vec in zip(coeffs, kernel):
             if cf:
-                for (r, s), val in eb.items():
-                    rows[r][s] = field.add(rows[r][s], field.mul(cf, val))
-        if not Matrix(field, rows, cols=size, coerce=False).det_nonzero():
-            continue
+                axpy(acc, vec, cf, field.characteristic)
         comps: dict[tuple[int, int], Combo] = {}
-        for k, cf in enumerate(coeffs):
-            if not cf:
-                continue
-            for idx, val in kernel[k]:
-                i, j, name = gens0[idx]
-                slot = comps.setdefault((i, j), {})
-                acc = field.add(slot.get(name, field.zero), field.mul(cf, val))
-                if acc:
-                    slot[name] = acc
-                else:
-                    slot.pop(name, None)
-        candidate = Morphism(cm, dm, 0, {k: v for k, v in comps.items() if v})
-        if minimize(cone(candidate)).is_empty:
+        for idx, val in acc.items():
+            i, j, name = gens0[idx]
+            comps.setdefault((i, j), {})[name] = val
+        if minimize(cone(Morphism(cm, dm, 0, comps))).is_empty:
             return YES
     return INCONCLUSIVE

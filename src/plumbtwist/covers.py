@@ -32,7 +32,7 @@ from .complexes import (
     total_rank,
     validate,
 )
-from .linalg import Matrix
+from .linalg import graded_ranks
 from .normalizer import admissible
 
 
@@ -130,23 +130,18 @@ def fibre_rank(c: TwistedComplex, vertex: int) -> dict[int, int]:
     require_valid(c, "fibre_rank input")
     field = c.params.field
     unit = "e0" if vertex == 0 else "e1"
-    picked = [k for k, s in enumerate(c.summands) if s.vertex == vertex]
-    where = {k: i for i, k in enumerate(picked)}
-    by_degree: dict[int, list[int]] = {}
-    for k in picked:
-        by_degree.setdefault(c.summands[k].position, []).append(k)
-    mats: dict[int, Matrix] = {}
-    for t, gens in sorted(by_degree.items()):
-        nxt = by_degree.get(t + 1, [])
-        rows = [[c.delta.get((i, j), {}).get(unit, field.zero) for i in gens] for j in nxt]
-        mats[t] = Matrix(field, rows, cols=len(gens))
-    ranks: dict[int, int] = {}
-    rank_of = {t: m.rank() for t, m in mats.items()}
-    for t, gens in by_degree.items():
-        r = len(gens) - rank_of.get(t, 0) - rank_of.get(t - 1, 0)
-        if r:
-            ranks[t] = r
-    return ranks
+    dims: dict[int, int] = {}
+    where: dict[int, int] = {}  # summand -> its index among the vertex summands at its position
+    for k, s in enumerate(c.summands):
+        if s.vertex == vertex:
+            where[k] = dims.get(s.position, 0)
+            dims[s.position] = where[k] + 1
+    columns = {t: [{} for _ in range(size)] for t, size in dims.items()}
+    for (i, j), combo in c.delta.items():
+        coeff = field.element(combo.get(unit, 0))
+        if coeff:  # valid: a unit entry joins two vertex summands one position apart
+            columns[c.summands[i].position][where[i]][where[j]] = coeff
+    return graded_ranks(field, dims, columns)
 
 
 def fibre_total(c: TwistedComplex, vertex: int) -> int:
@@ -198,19 +193,18 @@ class FeasibilityReport:
         }
 
 
-MAX_DIMV_SCAN = 64  # dimV*(beta-2) is monotone in dimV; tiny scan keeps it obvious
-
-
 def truncation_feasibility(betti: BettiVector | tuple[int, ...]) -> FeasibilityReport:
     """
     Decide whether dimV * (beta - 2) <= -2 admits an integer solution
     dimV >= 2; report the smallest solution and the forced outer slot ranks.
+    The left side is 2 * (beta - 2) at dimV = 2 and grows with dimV once
+    beta >= 2, so a solution exists iff beta <= 1, and then dimV = 2 is one.
     """
     if not isinstance(betti, BettiVector):
         betti = BettiVector(tuple(betti))
     beta = betti.beta
-    min_dimv = next((d for d in range(2, MAX_DIMV_SCAN) if d * (beta - 2) <= -2), None)
-    feasible = min_dimv is not None
+    feasible = beta <= 1
+    min_dimv = 2 if feasible else None
     if beta == 0:
         note = "sphere-like interior cohomology: the twist is the known spherical one"
     elif feasible:

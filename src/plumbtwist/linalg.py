@@ -6,12 +6,16 @@ fractions.Fraction for characteristic 0. A Field instance owns the arithmetic,
 so values stay cheap to hash and copy. There is no floating point anywhere in
 this package.
 
-All elimination runs on one routine, Echelon: sparse {index: value} rows in
-echelon form, each led by its smallest index with value one. It optionally
-tracks which inserted vectors each row combines, which yields kernels and
-solutions. Hom complexes feed it their sparse differential columns directly;
-the small dense Matrix class (block checks in the normalizer and covers, the
-oracle's candidate blocks, tests) runs rank, kernel, solve and rref on it too.
+Vectors are sparse {key: value} dicts with no zero values, and axpy is the
+one in-place accumulate on them. All elimination runs on one routine,
+Echelon: sparse rows in echelon form, each led by its smallest index with
+value one. It optionally tracks which inserted vectors each row combines,
+which yields kernels. graded_ranks turns the sparse columns of a graded
+differential into cohomology ranks (hom complexes, the cotangent-fibre
+pairing), and invertible_combinations samples an affine family of sparse
+square blocks for invertible members (the quasi-isomorphism oracle). The
+small dense Matrix class is a view for inspection and tests; its rank and
+rref run on Echelon too.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def is_prime(m: int) -> bool:
@@ -120,24 +124,25 @@ class Field:
         return list(range(self.characteristic))
 
 
-Vector = dict  # {index: field element}, zero values never stored
+Vector = dict  # {key: field element}, zero values never stored; keys are indices, basis names or (row, col)
 
 
-def _subtract(v: Vector, row: Vector, a, p: int, pivots=None, heap=None) -> None:
-    """v -= a * row in place over F_p (p = 0: the rationals), dropping zeros.
-    Indices that become nonzero and are keys of pivots are pushed on heap."""
+def axpy(v: Vector, row: Vector, a, p: int, pivots=None, heap=None) -> Vector:
+    """v += a * row in place over F_p (p = 0: the rationals), dropping zeros; returns v.
+    Keys that become nonzero and are keys of pivots are pushed on heap."""
     for k, x in row.items():
         y = v.get(k)
         if y is None:
-            v[k] = -a * x % p if p else -a * x
+            v[k] = a * x % p if p else a * x
             if heap is not None and k in pivots:
                 heappush(heap, k)
         else:
-            y = (y - a * x) % p if p else y - a * x
+            y = (y + a * x) % p if p else y + a * x
             if y:
                 v[k] = y
             else:
                 del v[k]
+    return v
 
 
 class Echelon:
@@ -179,9 +184,9 @@ class Echelon:
             if a is None:
                 continue
             # Rows are led by their pivot, so this only touches larger indices.
-            _subtract(v, rows[c], a, p, rows, heap)
+            axpy(v, rows[c], -a, p, rows, heap)
             if combo is not None:
-                _subtract(combo, self.combos[c], a, p)
+                axpy(combo, self.combos[c], -a, p)
         return v, combo
 
     def insert(self, vec: Vector) -> bool:
@@ -215,6 +220,21 @@ def echelon_of(field: Field, vectors: Iterable[Vector], track: bool = False) -> 
     return ech
 
 
+def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence[Vector]]) -> dict[int, int]:
+    """
+    Cohomology ranks of a cochain complex with dims[g] generators in degree g,
+    whose differential out of degree g has the sparse columns columns[g]
+    (keyed by index in degree g + 1). Degrees of rank zero are left out.
+    """
+    rank = {g: len(echelon_of(field, cols)) for g, cols in columns.items()}
+    ranks: dict[int, int] = {}
+    for g, size in dims.items():
+        r = size - rank.get(g, 0) - rank.get(g - 1, 0)
+        if r:
+            ranks[g] = r
+    return ranks
+
+
 def dense(field: Field, vec: Vector, size: int) -> list:
     """A sparse vector written out as a list of the given length."""
     out = [field.zero] * size
@@ -225,12 +245,14 @@ def dense(field: Field, vec: Vector, size: int) -> list:
 
 class Matrix:
     """
-    A small dense rows x cols matrix over a Field. Values are immutable by
-    convention. Public construction coerces every entry through
-    Field.element; internal constructors pass coerce=False with entries that
-    are already canonical.
+    A small dense rows x cols matrix over a Field: the HomComplex.differentials
+    view, the oracle's candidate blocks, and mul and is_zero for ac10's
+    independent Maurer-Cartan check. Values are immutable by convention.
+    Public construction coerces every entry through Field.element; internal
+    constructors pass coerce=False with entries that are already canonical.
     """
 
+    # perfbench/spans.py patches __init__, rref and det_nonzero by name.
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, entries: Sequence[Sequence], cols: int | None = None, coerce: bool = True):
@@ -277,22 +299,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
 
-    def transpose(self) -> "Matrix":
-        if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)] if self.cols else [], cols=0)
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows, coerce=False)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-                      cols=self.cols, coerce=False)
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.element(c)
-        return Matrix(f, [[f.mul(c, v) for v in row] for row in self.entries], cols=self.cols, coerce=False)
-
     def mul(self, other: "Matrix") -> "Matrix":
         """The product, in plain exact arithmetic, skipping zero entries."""
         assert self.cols == other.rows, "shape mismatch"
@@ -309,32 +315,10 @@ class Matrix:
             out.append([x % p for x in acc] if p else acc)
         return Matrix(f, out, cols=other.cols, coerce=False)
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector."""
-        f = self.field
-        v = [f.element(x) for x in vec]
-        assert len(v) == self.cols
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
-
     # -- elimination -------------------------------------------------------------
 
     def _row_vectors(self) -> list[Vector]:
         return [{k: v for k, v in enumerate(row) if v} for row in self.entries]
-
-    def _column_vectors(self) -> list[Vector]:
-        cols: list[Vector] = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self.entries):
-            for k, v in enumerate(row):
-                if v:
-                    cols[k][r] = v
-        return cols
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column list."""
@@ -348,7 +332,7 @@ class Matrix:
         for c in reversed(pivots):
             row = rows[c]
             for c2 in [k for k in row if k != c and k in rows]:
-                _subtract(row, rows[c2], row[c2], p)
+                axpy(row, rows[c2], -row[c2], p)
         out = [dense(f, rows[c], self.cols) for c in pivots]
         out += [[f.zero] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix(f, out, coerce=False), pivots
@@ -356,22 +340,6 @@ class Matrix:
     def rank(self) -> int:
         """Row rank over the field."""
         return len(echelon_of(self.field, self._row_vectors()))
-
-    def kernel_basis(self) -> list[list]:
-        """The canonical basis of the right kernel {x : Mx = 0}; size = cols - rank."""
-        ech = echelon_of(self.field, self._column_vectors(), track=True)
-        return [dense(self.field, vec, self.cols) for vec in ech.relations]
-
-    def solve(self, b: Sequence) -> list | None:
-        """Some x with Mx = b (zero off the pivot columns), or None when the system is inconsistent."""
-        f = self.field
-        b = [f.element(v) for v in b]
-        assert len(b) == self.rows, "right-hand side length must equal rows"
-        ech = echelon_of(f, self._column_vectors(), track=True)
-        rest, combo = ech.reduce({r: v for r, v in enumerate(b) if v}, {})
-        if rest:
-            return None
-        return dense(f, {k: f.neg(v) for k, v in combo.items()}, self.cols)
 
     def det_nonzero(self) -> bool:
         """Whether a square matrix is invertible."""
@@ -437,18 +405,20 @@ def candidate_coefficients(field: Field, count: int, seed: int) -> Iterable[tupl
                     yield t
 
 
-def generic_invertible(basepoint: Matrix, directions: Sequence[Matrix], seed: int = 0) -> Matrix | None:
+def invertible_combinations(field: Field, size: int, blocks: Sequence[Vector], seed: int = 0) -> Iterator[tuple]:
     """
-    Search the affine family basepoint + sum(c_i * directions[i]) for an
-    invertible member; deterministic for a fixed seed. Returns None when the
-    sampling budget (plus the small-field exhaustion) finds nothing.
+    The coefficient tuples from candidate_coefficients, in order, whose
+    combination sum(c_i * blocks[i]) of sparse size x size blocks
+    {(row, col): value} is invertible. Each candidate costs one det_nonzero.
     """
-    assert basepoint.rows == basepoint.cols
-    for coeffs in candidate_coefficients(basepoint.field, len(directions), seed):
-        m = basepoint
-        for c, d in zip(coeffs, directions):
+    p = field.characteristic
+    for coeffs in candidate_coefficients(field, len(blocks), seed):
+        acc: Vector = {}
+        for c, block in zip(coeffs, blocks):
             if c:
-                m = m.add(d.scale(c))
-        if m.rows == 0 or m.det_nonzero():
-            return m
-    return None
+                axpy(acc, block, c, p)
+        rows = [[field.zero] * size for _ in range(size)]
+        for (r, s), x in acc.items():
+            rows[r][s] = x
+        if Matrix(field, rows, cols=size, coerce=False).det_nonzero():
+            yield coeffs

@@ -34,7 +34,7 @@ from .complexes import (
     equivalent,
     YES,
 )
-from .linalg import Matrix
+from .linalg import echelon_of
 from .twists import LETTERS, BraidLetter, BraidWord, apply_braid, apply_letter, word_to_string
 
 
@@ -156,13 +156,19 @@ def relabel(c: TwistedComplex) -> TwistedComplex:
 # -- structural checks from the case analysis --------------------------------------------
 
 
-def _vertical_block(c: TwistedComplex, position: int) -> Matrix:
-    """The p-coefficient matrix from vertex-0 to vertex-1 summands at one position."""
+def _vertical_rank(c: TwistedComplex, position: int) -> tuple[int, int, int]:
+    """
+    The rank of the p-coefficient map from vertex-0 to vertex-1 summands at
+    one position, with the numbers of those source and target summands.
+    """
     field = c.params.field
     us = [k for k, s in enumerate(c.summands) if s.vertex == 0 and s.position == position]
     vs = [k for k, s in enumerate(c.summands) if s.vertex == 1 and s.position == position]
-    rows = [[c.delta.get((i, j), {}).get("p", field.zero) for i in us] for j in vs]
-    return Matrix(field, rows, cols=len(us))
+    columns = []
+    for i in us:
+        coeffs = (field.element(c.delta.get((i, j), {}).get("p", 0)) for j in vs)
+        columns.append({r: x for r, x in enumerate(coeffs) if x})
+    return len(echelon_of(field, columns)), len(us), len(vs)
 
 
 def case_a_structure_defects(c: TwistedComplex) -> list[str]:
@@ -178,13 +184,13 @@ def case_a_structure_defects(c: TwistedComplex) -> list[str]:
     out: list[str] = []
     for i in range(n - 1):
         if u.get(i, 0):
-            block = _vertical_block(c, i)
-            if block.rank() < block.cols:
+            rank, sources, _ = _vertical_rank(c, i)
+            if rank < sources:
                 out.append(f"vertical map at position {i} is not injective")
         hi = top - i
         if v.get(hi, 0):
-            block = _vertical_block(c, hi)
-            if block.rank() < block.rows:
+            rank, _, targets = _vertical_rank(c, hi)
+            if rank < targets:
                 out.append(f"vertical map at position {hi} is not surjective")
     for (a, b), combo in sorted(c.delta.items()):
         if "q" not in combo:

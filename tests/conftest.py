@@ -4,6 +4,7 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
+from plumbtwist.linalg import dense, echelon_of
 from plumbtwist.twists import LETTERS, apply_braid
 
 
@@ -21,6 +22,40 @@ def braid_corpus(n: int, count: int, max_len: int, seed: int):
         word = random_word(rng, max_len)
         out.append((word, apply_braid(word, q0)))
     return params, q0, out
+
+
+# -- dense linear algebra on top of linalg.Echelon -----------------------------------------
+
+
+def columns_of(entries, ncols):
+    """The columns of a dense matrix, as sparse vectors."""
+    return [{r: row[k] for r, row in enumerate(entries) if row[k]} for k in range(ncols)]
+
+
+def kernel_of(field, entries, ncols):
+    """The canonical kernel basis of a dense matrix: the relations of its column echelon."""
+    ech = echelon_of(field, columns_of(entries, ncols), track=True)
+    return [dense(field, vec, ncols) for vec in ech.relations]
+
+
+def solve_with(field, entries, ncols, b):
+    """Some x with Mx = b (zero off the pivot columns) from Echelon.reduce, or None when inconsistent."""
+    ech = echelon_of(field, columns_of(entries, ncols), track=True)
+    rest, combo = ech.reduce({r: v for r, v in enumerate(b) if v}, {})
+    if rest:
+        return None
+    return dense(field, {k: field.neg(v) for k, v in combo.items()}, ncols)
+
+
+def apply_matrix(field, entries, x):
+    """A dense matrix times a column vector."""
+    out = []
+    for row in entries:
+        acc = field.zero
+        for a, b in zip(row, x):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
 
 
 @pytest.fixture(scope="session")

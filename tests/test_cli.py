@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from plumbtwist.category import make_params
+from plumbtwist.cli import main
 from plumbtwist.complexes import Summand, TwistedComplex, single_core
 from plumbtwist.serialize import (
     DocumentError,
@@ -271,6 +272,31 @@ def test_cli_outputs_bit_identical(tmp_path):
     a = run_cli("twist", "--in", str(f), "--letter", "s1")
     b = run_cli("twist", "--in", str(f), "--letter", "s1")
     assert a.stdout == b.stdout
+
+
+def _inputs_digest(capsys, *argv):
+    main(list(argv))
+    return json.loads(capsys.readouterr().out)["inputs"]
+
+
+def test_cli_inputs_digest_differs_for_different_documents_at_one_path(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(MINIMAL)
+    first = _inputs_digest(capsys, "hf", "--a", str(f), "--b", str(f))
+    f.write_text(MINIMAL.replace('"n": 4', '"n": 5'))
+    assert _inputs_digest(capsys, "hf", "--a", str(f), "--b", str(f)) != first
+    f.write_text("{")  # a schema error still reports which document was read
+    broken = _inputs_digest(capsys, "validate", "--in", str(f))
+    f.write_text("[")
+    assert _inputs_digest(capsys, "validate", "--in", str(f)) != broken
+
+
+def test_cli_inputs_digest_repeats_for_one_document(tmp_path, capsys):
+    f = tmp_path / "c.json"
+    f.write_text(MINIMAL)
+    first = _inputs_digest(capsys, "validate", "--in", str(f))
+    assert _inputs_digest(capsys, "validate", "--in", str(f)) == first
+    assert _inputs_digest(capsys, "fibre-rank", "--in", str(f), "--vertex", "0") != first
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))

@@ -1,11 +1,13 @@
 """
 Differential tests of the sparse elimination core.
 
-Matrix.rank, rref, kernel_basis and solve, and the Echelon underneath them,
-are compared with a naive dense Gauss-Jordan elimination written here, over
-F_2, F_5, F_32003 and Q, on random sparse and dense matrices including 0-row
-and 0-column shapes. The sparse hom-complex columns are compared with the
-differential of each generator computed by Morphism.differential.
+Matrix.rank and rref, the Echelon underneath them (its relations as kernels,
+reduce as a solver), graded_ranks and covers.fibre_rank are compared with a
+naive dense Gauss-Jordan elimination written here, over F_2, F_5, F_32003
+and Q, on random sparse and dense matrices including 0-row and 0-column
+shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
+The sparse hom-complex columns are compared with the differential of each
+generator computed by Morphism.differential.
 """
 
 import random
@@ -14,11 +16,12 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
-from plumbtwist.complexes import Morphism, hom_complex, single_core
-from plumbtwist.linalg import Echelon, Field, Matrix
-from plumbtwist.twists import apply_braid
+from plumbtwist.complexes import Morphism, Summand, TwistedComplex, hom_complex, single_core
+from plumbtwist.covers import fibre_rank
+from plumbtwist.linalg import Echelon, Field, Matrix, graded_ranks
+from plumbtwist.twists import LETTERS, apply_braid
 
-from conftest import random_word
+from conftest import apply_matrix, kernel_of, random_word, solve_with
 
 CHARACTERISTICS = (2, 5, 32003, 0)
 
@@ -103,7 +106,7 @@ def test_rank_rref_and_kernel_match_reference(case):
     assert m.rank() == len(pivots)
     if m.rows == m.cols:
         assert m.det_nonzero() == (len(pivots) == m.rows)
-    assert m.kernel_basis() == reference_kernel(field, m.entries, m.cols)
+    assert kernel_of(field, m.entries, m.cols) == reference_kernel(field, m.entries, m.cols)
     if m.rows and m.cols:
         got, got_pivots = m.rref()
         assert got_pivots == pivots
@@ -115,11 +118,11 @@ def test_rank_rref_and_kernel_match_reference(case):
 def test_solve_matches_reference(case):
     field, m, rng = case
     x = [field.random_element(rng) for _ in range(m.cols)]
-    for b in (m.apply(x), [field.random_element(rng) for _ in range(m.rows)]):
+    for b in (apply_matrix(field, m.entries, x), [field.random_element(rng) for _ in range(m.rows)]):
         want = reference_solve(field, m.entries, m.cols, b)
-        assert m.solve(b) == want
+        assert solve_with(field, m.entries, m.cols, b) == want
         if want is not None:
-            assert m.apply(want) == b
+            assert apply_matrix(field, m.entries, want) == b
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,12 +151,80 @@ def test_empty_shapes():
         f = Field(c)
         no_rows = Matrix(f, [], cols=3)
         assert no_rows.rank() == 0
-        assert no_rows.kernel_basis() == [[f.one if i == j else f.zero for i in range(3)] for j in range(3)]
-        assert no_rows.solve([]) == [f.zero] * 3
+        assert kernel_of(f, [], 3) == [[f.one if i == j else f.zero for i in range(3)] for j in range(3)]
+        assert solve_with(f, [], 3, []) == [f.zero] * 3
         no_cols = Matrix(f, [[], []], cols=0)
-        assert no_cols.rank() == 0 and no_cols.kernel_basis() == []
-        assert no_cols.solve([f.zero, f.zero]) == []
-        assert no_cols.solve([f.one, f.zero]) is None
+        assert no_cols.rank() == 0 and kernel_of(f, [[], []], 0) == []
+        assert solve_with(f, [[], []], 0, [f.zero, f.zero]) == []
+        assert solve_with(f, [[], []], 0, [f.one, f.zero]) is None
+        assert graded_ranks(f, {0: 0, 1: 2}, {0: [], 1: [{}, {}]}) == {1: 2}
+
+
+# -- graded ranks against the reference ---------------------------------------------------------
+
+
+def reference_ranks(field, dims, matrices):
+    """dims[g] - rank(d_g) - rank(d_{g-1}) per degree, zeros left out, each rank by reference_rref."""
+    rank = {g: len(reference_rref(field, rows, dims[g])[1]) for g, rows in matrices.items()}
+    out = {}
+    for g, size in dims.items():
+        r = size - rank.get(g, 0) - rank.get(g - 1, 0)
+        if r:
+            out[g] = r
+    return out
+
+
+@st.composite
+def braid_images(draw, count):
+    """A field and count braid-orbit complexes over it, at n = 3."""
+    params = make_params(3, draw(st.sampled_from(CHARACTERISTICS)))
+    images = []
+    for _ in range(count):
+        word = tuple(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4)))
+        images.append(apply_braid(word, single_core(params, draw(st.integers(0, 1)))))
+    return params.field, images
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_images(2))
+def test_graded_ranks_match_reference_on_hom_complexes(case):
+    field, (c, d) = case
+    h = hom_complex(c, d)
+    dims = h.dimensions()
+    want = reference_ranks(field, dims, {g: m.entries for g, m in h.differentials.items()})
+    assert graded_ranks(field, dims, h.columns) == want
+    assert h.cohomology_ranks() == want
+
+
+@st.composite
+def two_level_complexes(draw):
+    """Summands at positions 0 and 1 with random unit entries upward, so delta squares to zero."""
+    params = make_params(3, draw(st.sampled_from(CHARACTERISTICS)))
+    summands = [Summand(draw(st.integers(0, 1)), draw(st.integers(0, 1))) for _ in range(draw(st.integers(2, 8)))]
+    delta = {}
+    for i, a in enumerate(summands):
+        for j, b in enumerate(summands):
+            if a.vertex == b.vertex and (a.position, b.position) == (0, 1) and draw(st.booleans()):
+                delta[(i, j)] = {f"e{a.vertex}": params.field.element(draw(st.integers(1, 6)))}
+    return params.field, TwistedComplex(params, summands, delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(braid_images(1).map(lambda case: (case[0], case[1][0])), two_level_complexes()))
+def test_fibre_rank_matches_reference(case):
+    field, c = case
+    for vertex in (0, 1):
+        unit = "e0" if vertex == 0 else "e1"
+        by_position = {}
+        for k, s in enumerate(c.summands):
+            if s.vertex == vertex:
+                by_position.setdefault(s.position, []).append(k)
+        dims = {t: len(gens) for t, gens in by_position.items()}
+        matrices = {
+            t: [[c.delta.get((i, j), {}).get(unit, field.zero) for i in gens] for j in by_position.get(t + 1, ())]
+            for t, gens in by_position.items()
+        }
+        assert fibre_rank(c, vertex) == reference_ranks(field, dims, matrices)
 
 
 # -- sparse hom-complex columns against Morphism.differential ----------------------------------

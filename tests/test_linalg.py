@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
-from plumbtwist.linalg import Field, FieldError, Matrix, generic_invertible
+from plumbtwist.linalg import (
+    SAMPLE_BUDGET,
+    Field,
+    FieldError,
+    Matrix,
+    candidate_coefficients,
+    echelon_of,
+    invertible_combinations,
+)
+
+from conftest import apply_matrix, columns_of, kernel_of, solve_with
 
 
 @pytest.fixture(params=[0, 5, 32003], ids=["Q", "F5", "F32003"])
@@ -41,9 +51,9 @@ def test_rank_identity_zero_proportional(field):
 
 
 def test_kernel_sizes(field):
-    assert Matrix.identity(field, 3).kernel_basis() == []
-    assert len(Matrix.zeros(field, 2, 3).kernel_basis()) == 3
-    basis = Matrix(field, [[1, 1]]).kernel_basis()
+    assert kernel_of(field, Matrix.identity(field, 3).entries, 3) == []
+    assert len(kernel_of(field, Matrix.zeros(field, 2, 3).entries, 3)) == 3
+    basis = kernel_of(field, Matrix(field, [[1, 1]]).entries, 2)
     assert len(basis) == 1
     x, y = basis[0]
     assert field.add(x, y) == field.zero and x  # spans (1, -1)
@@ -51,10 +61,10 @@ def test_kernel_sizes(field):
 
 def test_solve_examples(field):
     b = [field.element(v) for v in (3, 1, 4)]
-    assert Matrix.identity(field, 3).solve(b) == b
-    assert Matrix.zeros(field, 2, 2).solve([1, 0]) is None
+    assert solve_with(field, Matrix.identity(field, 3).entries, 3, b) == b
+    assert solve_with(field, Matrix.zeros(field, 2, 2).entries, 2, [field.one, field.zero]) is None
     f5 = Field(5)
-    assert Matrix(f5, [[2]]).solve([3]) == [4]  # 2*4 = 8 = 3 mod 5
+    assert solve_with(f5, [[2]], 1, [3]) == [4]  # 2*4 = 8 = 3 mod 5
 
 
 def test_rank_equals_transpose_rank_and_rank_nullity(field):
@@ -62,8 +72,8 @@ def test_rank_equals_transpose_rank_and_rank_nullity(field):
     for _ in range(25):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = random_matrix(field, rng, rows, cols)
-        assert m.rank() == m.transpose().rank()
-        assert cols == m.rank() + len(m.kernel_basis())
+        assert m.rank() == len(echelon_of(field, columns_of(m.entries, cols)))
+        assert cols == m.rank() + len(kernel_of(field, m.entries, cols))
 
 
 def test_kernel_vectors_annihilate_and_solve_is_exact(field):
@@ -71,51 +81,52 @@ def test_kernel_vectors_annihilate_and_solve_is_exact(field):
     for _ in range(20):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = random_matrix(field, rng, rows, cols)
-        for vec in m.kernel_basis():
-            assert all(v == field.zero for v in m.apply(vec))
+        for vec in kernel_of(field, m.entries, cols):
+            assert all(v == field.zero for v in apply_matrix(field, m.entries, vec))
         x = [field.random_element(rng) for _ in range(cols)]
-        b = m.apply(x)
-        sol = m.solve(b)
+        b = apply_matrix(field, m.entries, x)
+        sol = solve_with(field, m.entries, cols, b)
         assert sol is not None
-        assert m.apply(sol) == b
+        assert apply_matrix(field, m.entries, sol) == b
 
 
-def test_generic_invertible_singleton_identity(field):
-    found = generic_invertible(Matrix.identity(field, 3), [])
-    assert found is not None and found.det_nonzero()
+def test_invertible_combinations_unit_vectors_first(field):
+    one, zero = field.one, field.zero
+    identity = {(i, i): one for i in range(3)}
+    assert next(invertible_combinations(field, 3, [identity])) == (one,)
+    # The all-ones point gives I - I = 0; the unit vectors come next.
+    minus = {(i, i): field.neg(one) for i in range(3)}
+    assert list(islice(invertible_combinations(field, 3, [identity, minus]), 2)) == [(one, zero), (zero, one)]
 
 
-def test_generic_invertible_zero_family(field):
-    zero = Matrix.zeros(field, 2, 2)
-    assert generic_invertible(zero, [zero, zero]) is None
+def test_invertible_combinations_zero_family(field):
+    assert list(invertible_combinations(field, 2, [{}, {}])) == []
 
 
-def test_generic_invertible_two_diagonal_family_matches_enumeration():
+def test_invertible_combinations_two_diagonal_family_match_enumeration():
     # Oracle: enumerate all coefficient pairs over F5 and test the determinant.
     f5 = Field(5)
-    d1 = Matrix(f5, [[1, 0], [0, 0]])
-    d2 = Matrix(f5, [[0, 0], [0, 1]])
     witnesses = [
         (a, b)
         for a, b in product(range(5), repeat=2)
         if Matrix(f5, [[a, 0], [0, b]]).det_nonzero()
     ]
-    assert witnesses, "the family does contain invertible members"
-    found = generic_invertible(Matrix.zeros(f5, 2, 2), [d1, d2])
-    assert found is not None
-    assert found.det_nonzero()
-    assert (found.entries[0][0], found.entries[1][1]) in witnesses
-    assert found.entries[0][1] == 0 and found.entries[1][0] == 0
+    found = list(invertible_combinations(f5, 2, [{(0, 0): 1}, {(1, 1): 1}]))
+    assert found
+    assert found == [t for t in candidate_coefficients(f5, 2, 0) if t in witnesses]
 
 
-def test_generic_invertible_needs_exhaustion_on_small_field():
-    # Over F2 with basepoint I+N the random samples may all miss; exhaustion
-    # over the 2-parameter family must still find the unique invertible point.
+def test_invertible_combinations_need_exhaustion_on_small_field():
+    # Over F2, diag(c1, c2, c1 + c3, ..., c1 + c12) is invertible only at
+    # c = (1, 1, 0, ..., 0): neither the all-ones point, a unit vector nor a
+    # seeded sample, but a point of the exhausted 2-parameter sub-family.
     f2 = Field(2)
-    base = Matrix(f2, [[1, 1], [1, 1]])
-    d1 = Matrix(f2, [[1, 0], [0, 0]])
-    found = generic_invertible(base, [d1])
-    assert found is not None and found.det_nonzero()
+    k = 12
+    first = {(i, i): 1 for i in range(k) if i != 1}
+    blocks = [first, {(1, 1): 1}] + [{(i, i): 1} for i in range(2, k)]
+    target = (1, 1) + (0,) * (k - 2)
+    assert target not in list(islice(candidate_coefficients(f2, k, 0), SAMPLE_BUDGET))
+    assert list(invertible_combinations(f2, k, blocks)) == [target]
 
 
 def test_matrix_multiply_agrees_with_fraction_path():
