@@ -20,7 +20,6 @@ twisted complex is plain matrix squaring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .linalg import Field, is_prime
 
@@ -64,11 +63,18 @@ class CategoryParams:
         return self.resolved_betti0() == spherical_betti(self.n)
 
 
+# The cores' dimension n costs time and memory linearly (Betti vectors, degree
+# ranges), and no computation needs it anywhere near this large.
+MAX_N = 10_000
+
+
 def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
     """Every reason the given parameters are rejected; empty means ok."""
     problems = []
     if not isinstance(n, int) or n < 3:
         problems.append(f"n must be an integer >= 3 (got {n}): below that, higher products are not guaranteed to vanish")
+    elif n > MAX_N:
+        problems.append(f"n must be at most {MAX_N} (got {n})")
     if characteristic != 0 and not is_prime(characteristic):
         problems.append(f"characteristic must be 0 or prime (got {characteristic})")
     if betti0 is not None and isinstance(n, int) and n >= 1:
@@ -169,9 +175,8 @@ class Category:
                 hit = self.compose_names(gn, fn)
                 if hit is None:
                     continue
-                name, sign = hit
-                term = fld.mul(gc, fc) if sign == 1 else fld.mul(fld.element(sign), fld.mul(gc, fc))
-                acc = fld.add(out.get(name, fld.zero), term)
+                name = hit[0]  # every composite has coefficient 1
+                acc = fld.add(out.get(name, fld.zero), fld.mul(gc, fc))
                 if acc:
                     out[name] = acc
                 elif name in out:

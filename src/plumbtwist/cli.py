@@ -4,7 +4,8 @@ Command-line front end.
 Every command reads complex documents in the JSON format of serialize.py and
 writes one canonical JSON report to stdout (rank-table writes CSV instead).
 Exit codes: 0 on success, 1 on mathematical rejection (invalid or
-inadmissible input, incompatible cover), 2 on usage or schema errors.
+inadmissible input, incompatible cover, exhausted orbit search), 2 on usage
+or schema errors.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
 goes to stderr and only with --timing. A report's "inputs" field is the
 sha256 of the arguments and of the text of every document the command read.
@@ -37,7 +38,7 @@ from .serialize import (
     complex_to_dict,
     parse_complex,
 )
-from .twists import apply_braid, core_orbit_witness, parse_word, twist, word_to_string
+from .twists import SearchExhausted, apply_braid, core_orbit_witness, parse_word, twist, word_to_string
 
 OK, REJECTED, USAGE = 0, 1, 2
 
@@ -253,8 +254,11 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         params = _params_from_args(args)
         if params.resolved_betti0() != spherical_betti(params.n):
             raise CliFailure(USAGE, "usage-error", "the orbit search needs spherical cores (drop --betti0)")
-        word, shiftval = core_orbit_witness(params.n, params.field.characteristic,
-                                            max_length=args.max_length)
+        try:
+            word, shiftval = core_orbit_witness(params.n, params.field.characteristic,
+                                                max_length=args.max_length)
+        except SearchExhausted as exc:
+            return {"error": "search-exhausted", "detail": str(exc)}, REJECTED
         return {"word": word_to_string(word), "shift": shiftval}, OK
 
     raise CliFailure(USAGE, "usage-error", f"unknown command {cmd}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .category import Category, CategoryParams, category_for
@@ -57,11 +58,14 @@ class TwistedComplex:
         self.params = params
         self.summands = tuple(summands)
         element = params.field.element
+        p = params.field.characteristic
         clean = {}
         for (i, j), combo in (delta or {}).items():
             kept = {}
             for name, c in combo.items():
-                value = element(c) if isinstance(c, str) else c
+                # Coerce only non-canonical values; re-wrapping every Fraction would slow the Q path.
+                canonical = type(c) is int and 0 <= c < p if p else type(c) is Fraction
+                value = c if canonical else element(c)
                 if value:
                     kept[name] = value
             if kept:
@@ -155,7 +159,10 @@ def validate(c: TwistedComplex) -> list[Violation]:
                 out.append(Violation("reach", (i, j), f"top-class entry leaves position {c.summands[i].position}, "
                                                       f"below minimum+n-1 = {floor}"))
 
-    out.extend(maurer_cartan_defects(c))
+    # Composing needs well-typed entries: an unknown or mislabelled basis name
+    # is reported as a degree violation above, not squared.
+    if not any(v.kind == "degree" for v in out):
+        out.extend(maurer_cartan_defects(c))
     return out
 
 
@@ -194,13 +201,19 @@ def _find_cycle(size: int, edges: Iterable[tuple[int, int]]) -> list[int] | None
     return None
 
 
+def _grouped(delta, side: int) -> dict[int, list[tuple[int, Combo]]]:
+    """The entries of delta grouped by source (side 0) or target (side 1) summand, as (other end, combo)."""
+    out: dict[int, list[tuple[int, Combo]]] = {}
+    for slot, combo in delta.items():
+        out.setdefault(slot[side], []).append((slot[1 - side], combo))
+    return out
+
+
 def maurer_cartan_defects(c: TwistedComplex) -> list[Violation]:
     """Nonzero slots of the matrix square of delta under composition."""
     cat = c.category
     field = c.params.field
-    by_source: dict[int, list[tuple[int, Combo]]] = {}
-    for (i, j), combo in c.delta.items():
-        by_source.setdefault(i, []).append((j, combo))
+    by_source = _grouped(c.delta, 0)
     square: dict[tuple[int, int], Combo] = {}
     for (i, j), first in c.delta.items():
         for k, second in by_source.get(j, ()):
@@ -235,6 +248,17 @@ def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
     return shift(c, k), k
 
 
+def restrict(c: TwistedComplex, members: Sequence[int], delta=None) -> TwistedComplex:
+    """The summands at members, in that order, with the entries of delta (default c.delta) among them re-indexed."""
+    where = {old: new for new, old in enumerate(members)}
+    entries = {
+        (where[i], where[j]): combo
+        for (i, j), combo in (c.delta if delta is None else delta).items()
+        if i in where and j in where
+    }
+    return TwistedComplex(c.params, [c.summands[k] for k in members], entries)
+
+
 def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
     assert c.params == d.params, "direct_sum needs matching category parameters"
     off = len(c)
@@ -264,15 +288,11 @@ class Morphism:
         cat = self.source.category
         sign = -1 if self.degree % 2 == 0 else 1  # subtract when degree is even
         out: dict[tuple[int, int], Combo] = {}
-        tgt_by_source: dict[int, list[tuple[int, Combo]]] = {}
-        for (j, j2), combo in self.target.delta.items():
-            tgt_by_source.setdefault(j, []).append((j2, combo))
+        tgt_by_source = _grouped(self.target.delta, 0)
         for (i, j), fc in self.comps.items():
             for j2, dc_ in tgt_by_source.get(j, ()):
                 axpy(out.setdefault((i, j2), {}), cat.compose(dc_, fc), 1, p)
-        src_by_target: dict[int, list[tuple[int, Combo]]] = {}
-        for (i2, i), combo in self.source.delta.items():
-            src_by_target.setdefault(i, []).append((i2, combo))
+        src_by_target = _grouped(self.source.delta, 1)
         for (i, j), fc in self.comps.items():
             for i2, dc_ in src_by_target.get(i, ()):
                 axpy(out.setdefault((i2, j), {}), cat.compose(fc, dc_), sign, p)
@@ -309,12 +329,8 @@ class HomComplex:
         self.components = {g: tuple(gens) for g, gens in sorted(components.items())}
         self.index = {gen: (g, k) for g, gens in self.components.items() for k, gen in enumerate(gens)}
 
-        out_of: dict[int, list[tuple[int, Combo]]] = {}  # target delta by source summand
-        for (j, j2), combo in d.delta.items():
-            out_of.setdefault(j, []).append((j2, combo))
-        into: dict[int, list[tuple[int, Combo]]] = {}  # source delta by target summand
-        for (i2, i), combo in c.delta.items():
-            into.setdefault(i, []).append((i2, combo))
+        out_of = _grouped(d.delta, 0)  # target delta by source summand
+        into = _grouped(c.delta, 1)  # source delta by target summand
         index = self.index
         self.columns: dict[int, list[Vector]] = {}
         for g, gens in self.components.items():
@@ -496,9 +512,7 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
             del delta[key]
 
     order = sorted(alive, key=lambda i: (-c.summands[i].position, c.summands[i].vertex, i))
-    where = {old: new for new, old in enumerate(order)}
-    new_delta = {(where[i], where[j]): combo for (i, j), combo in delta.items()}
-    return TwistedComplex(c.params, [c.summands[i] for i in order], new_delta)
+    return restrict(c, order, delta)
 
 
 # -- quasi-isomorphism oracle -----------------------------------------------------------

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
-    Summand,
     TwistedComplex,
     hf_ranks,
     minimize,
     require_valid,
+    restrict,
     single_core,
     total_rank,
     validate,
@@ -108,16 +108,7 @@ def decompose(c: TwistedComplex) -> list[TwistedComplex]:
     groups: dict[int, list[int]] = {}
     for k in range(len(m)):
         groups.setdefault(find(k), []).append(k)
-    pieces = []
-    for members in groups.values():
-        members.sort()
-        where = {old: new for new, old in enumerate(members)}
-        delta = {
-            (where[i], where[j]): combo
-            for (i, j), combo in m.delta.items()
-            if i in where and j in where
-        }
-        pieces.append(TwistedComplex(m.params, [m.summands[k] for k in members], delta))
+    pieces = [restrict(m, sorted(members)) for members in groups.values()]
     pieces.sort(key=lambda piece: min((s.position, s.vertex) for s in piece.summands))
     return pieces
 
@@ -261,13 +252,7 @@ def boundary_rank_check(c: TwistedComplex) -> BoundaryRankReport:
     zeros = [k for k, s in enumerate(c.summands) if s.vertex == 0]
     if not zeros:
         raise CoverError("no vertex-0 summands to check")
-    where = {old: new for new, old in enumerate(zeros)}
-    sub_delta = {
-        (where[i], where[j]): combo
-        for (i, j), combo in c.delta.items()
-        if i in where and j in where
-    }
-    part = TwistedComplex(c.params, [c.summands[k] for k in zeros], sub_delta)
+    part = restrict(c, zeros)
     bad = validate(part)
     if bad:
         raise CoverError("the vertex-0 part is not itself a twisted complex: " + bad[0].message)

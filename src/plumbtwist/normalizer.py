@@ -6,12 +6,13 @@ The measure being decreased is the zig-zag complexity cx: weight a vertex-0
 slot at position i as 2i+1 and a vertex-1 slot as 2i, then cx is the spread
 between the heaviest and lightest occupied slot (the length of the longest
 zig-zag the complex can support). Each reduction step inspects whether
-vertex-1 lives at the bottom of the complex (case A) or not (case B, handled
-through the involutive relabelling that swaps the two rows), then looks at
-the outer n-2 slots to choose one of four twist letters, each of which
-provably lowers cx for admissible complexes. The base case, where the
-complex is too short for any top-class arrow, tries the same letters and
-accepts whichever works, with a bounded word search as a last resort.
+vertex-1 lives at the bottom of the complex (case A) or not (case B). Case B
+is case A with the two cores' roles swapped, so one path serves both: it
+takes two twist letters from the bottom vertex, then looks at the outer n-2
+slots to choose the one that provably lowers cx for admissible complexes.
+The base case, where the complex is too short for any top-class arrow, tries
+the same letters and accepts whichever works, with a bounded word search as
+a last resort.
 
 Certificates are never trusted from the trace: the word is re-applied to the
 original input and the result checked against the claimed target with the
@@ -30,7 +31,6 @@ from .complexes import (
     minimize,
     require_valid,
     shift_normalized,
-    validate,
     equivalent,
     YES,
 )
@@ -214,15 +214,6 @@ class ReductionStep:
     result: TwistedComplex
 
 
-def _normalized_after(letter_or_word, c: TwistedComplex) -> TwistedComplex:
-    if isinstance(letter_or_word, BraidLetter):
-        out = apply_letter(letter_or_word, c)
-    else:
-        out = apply_braid(letter_or_word, c)
-    out, _ = shift_normalized(out)
-    return out
-
-
 def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length: int = 3) -> ReductionStep:
     """
     One complexity-lowering twist on a minimized, shift-normalized, admissible
@@ -238,41 +229,34 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
     top = rep.top_index
     case_a = v.get(0, 0) > 0
 
-    if top >= 1 and (v.get(0, 0) > 0) != (u.get(top, 0) > 0):
+    if top >= 1 and case_a != (u.get(top, 0) > 0):
         raise NormalizerDeadEnd(
-            f"end-slot dichotomy fails: V0 {'non' if v.get(0, 0) else ''}empty "
+            f"end-slot dichotomy fails: V0 {'non' if case_a else ''}empty "
             f"but U_top {'non' if u.get(top, 0) else ''}empty (top={top})")
 
+    # Case B is case A with the two cores' roles swapped. The inverse twist in
+    # the other vertex needs the bottom vertex's top band clear; the positive
+    # twist in the bottom vertex needs the other vertex's bottom band clear.
+    bottom = 1 if case_a else 0
+    low, high = (v, u) if case_a else (u, v)  # profiles of the bottom vertex and of the other one
+    choices = tuple(zip((BraidLetter(1 - bottom, -1), BraidLetter(bottom, 1)),
+                        ("A1", "A2") if case_a else ("B1", "B2")))
+
     if top >= n - 1:
-        if case_a:
-            if structural_checks:
-                defects = case_a_structure_defects(c)
-                if defects:
-                    raise NormalizerDeadEnd("structure defects: " + "; ".join(defects))
-            if all(v.get(top - i, 0) == 0 for i in range(n - 1)):
-                letter, tag = BraidLetter(0, -1), "A1"
-            else:
-                if any(u.get(j, 0) for j in range(n - 1)):
-                    raise NormalizerDeadEnd(
-                        "case dichotomy fails: vertex 1 meets the top slots and vertex 0 the bottom ones")
-                letter, tag = BraidLetter(1, 1), "A2"
+        if structural_checks:
+            defects = case_a_structure_defects(c if case_a else shift_normalized(relabel(c))[0])
+            if defects:
+                context = "" if case_a else " after relabelling"
+                raise NormalizerDeadEnd(f"structure defects{context}: " + "; ".join(defects))
+        if all(low.get(top - i, 0) == 0 for i in range(n - 1)):
+            letter, tag = choices[0]
+        elif any(high.get(j, 0) for j in range(n - 1)):
+            raise NormalizerDeadEnd(
+                "case dichotomy fails: vertex 1 meets the top slots and vertex 0 the bottom ones" if case_a
+                else "case dichotomy fails after relabelling: both outer bands are occupied")
         else:
-            if structural_checks:
-                swapped, _ = shift_normalized(relabel(c))
-                defects = case_a_structure_defects(swapped)
-                if defects:
-                    raise NormalizerDeadEnd("structure defects after relabelling: " + "; ".join(defects))
-            # Mirror image of case A: the inverse twist in the top vertex needs
-            # the other vertex's top band clear; the positive twist in the
-            # bottom vertex needs the other vertex's bottom band clear.
-            if all(u.get(top - i, 0) == 0 for i in range(n - 1)):
-                letter, tag = BraidLetter(1, -1), "B1"
-            else:
-                if any(v.get(i, 0) for i in range(n - 1)):
-                    raise NormalizerDeadEnd(
-                        "case dichotomy fails after relabelling: both outer bands are occupied")
-                letter, tag = BraidLetter(0, 1), "B2"
-        result = _normalized_after(letter, c)
+            letter, tag = choices[1]
+        result, _ = shift_normalized(apply_letter(letter, c))
         after = complexity(result).cx
         if after >= rep.cx:
             raise ComplexityNotReduced(
@@ -281,16 +265,19 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
 
     # Base case: the complex is too short for any top-class arrow. Try the two
     # case letters, then fall back to a bounded word search.
-    preferred = (BraidLetter(0, -1), BraidLetter(1, 1)) if case_a else (BraidLetter(1, -1), BraidLetter(0, 1))
-    for letter, tag in zip(preferred, ("A1", "A2") if case_a else ("B1", "B2")):
-        result = _normalized_after(letter, c)
-        if not result.is_empty and complexity(result).cx < rep.cx:
-            return ReductionStep((letter,), f"base-{tag}", rep.cx, complexity(result).cx, result)
-    for length in range(1, bfs_length + 1):
-        for letters in itertools.product(LETTERS, repeat=length):
-            result = _normalized_after(letters, c)
-            if not result.is_empty and complexity(result).cx < rep.cx:
-                return ReductionStep(tuple(letters), "fallback", rep.cx, complexity(result).cx, result)
+    def candidates():
+        for letter, tag in choices:
+            yield (letter,), f"base-{tag}", apply_letter(letter, c)
+        for length in range(1, bfs_length + 1):
+            for word in itertools.product(LETTERS, repeat=length):
+                yield word, "fallback", apply_braid(word, c)
+
+    for word, tag, result in candidates():
+        result, _ = shift_normalized(result)
+        if not result.is_empty:
+            after = complexity(result).cx
+            if after < rep.cx:
+                return ReductionStep(word, tag, rep.cx, after, result)
     raise NormalizerDeadEnd(
         f"no word of length <= {bfs_length} lowers cx from {rep.cx} in the base case")
 

@@ -1,13 +1,14 @@
 """
 Twist functors along the two cores, braid words, and relation checking.
 
-The positive twist along Q_i is the cone of the evaluation morphism
-HF(Q_i, c) ⊗ Q_i -> c, built from deterministic cocycle representatives and
-minimized. The inverse twist is the cone of co-evaluation into
-HF(c, Q_i)^dual ⊗ Q_i, shifted down by one: with our cone convention
-(source block at position-1) that extra shift is exactly what makes
-twist followed by inverse twist land on the identity on the nose rather
-than up to shift; the pair is verified against each other in the tests.
+One construction serves both directions. The positive twist along Q_i is the
+cone of the evaluation morphism HF(Q_i, c) ⊗ Q_i -> c; the inverse twist is
+the cone of co-evaluation c -> HF(c, Q_i)^dual ⊗ Q_i, shifted down by one.
+Both take one copy of Q_i per deterministic cocycle representative and are
+minimized. With our cone convention (source block at position-1) the extra
+shift is exactly what makes twist followed by inverse twist land on the
+identity on the nose rather than up to shift; the pair is verified against
+each other in the tests.
 
 Braid words are free words in the four letters {s0, S0, s1, S1}
 (lowercase = positive twist); no reduction is ever assumed, cancellation is
@@ -80,49 +81,25 @@ def invert_word(word: BraidWord) -> BraidWord:
 def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     """Apply the twist along Q_vertex (power=+1) or its inverse (power=-1)."""
     require_valid(c, "twist input")
-    if power == 1:
-        return _positive_twist(c, vertex)
-    if power == -1:
-        return _inverse_twist(c, vertex)
-    raise ValueError(f"twist power must be +1 or -1, got {power}")
-
-
-def _positive_twist(c: TwistedComplex, vertex: int) -> TwistedComplex:
+    if power not in (1, -1):
+        raise ValueError(f"twist power must be +1 or -1, got {power}")
+    forward = power == 1
     core = single_core(c.params, vertex)
-    hom = hom_complex(core, c, check=False)
+    hom = hom_complex(core, c, check=False) if forward else hom_complex(c, core, check=False)
     reps = hom.cocycle_representatives()
-    source_summands: list[Summand] = []
-    ev_comps: dict[tuple[int, int], dict] = {}
+    summands: list[Summand] = []
+    comps: dict[tuple[int, int], dict] = {}
     for g in sorted(reps):
         for vec in reps[g]:
-            src_index = len(source_summands)
-            source_summands.append(Summand(vertex, g))
-            for idx, (_, j, name) in enumerate(hom.components[g]):
+            k = len(summands)
+            summands.append(Summand(vertex, power * g))
+            for idx, (i, j, name) in enumerate(hom.components[g]):
                 if vec[idx]:
-                    slot = ev_comps.setdefault((src_index, j), {})
-                    slot[name] = vec[idx]
-    source = TwistedComplex(c.params, source_summands)
-    evaluation = Morphism(source, c, 0, ev_comps)
-    return minimize(cone(evaluation))
-
-
-def _inverse_twist(c: TwistedComplex, vertex: int) -> TwistedComplex:
-    core = single_core(c.params, vertex)
-    hom = hom_complex(c, core, check=False)
-    reps = hom.cocycle_representatives()
-    target_summands: list[Summand] = []
-    coev_comps: dict[tuple[int, int], dict] = {}
-    for g in sorted(reps):
-        for vec in reps[g]:
-            tgt_index = len(target_summands)
-            target_summands.append(Summand(vertex, -g))
-            for idx, (i, _, name) in enumerate(hom.components[g]):
-                if vec[idx]:
-                    slot = coev_comps.setdefault((i, tgt_index), {})
-                    slot[name] = vec[idx]
-    target = TwistedComplex(c.params, target_summands)
-    coevaluation = Morphism(c, target, 0, coev_comps)
-    return minimize(shift(cone(coevaluation), -1))
+                    comps.setdefault((k, j) if forward else (i, k), {})[name] = vec[idx]
+    copies = TwistedComplex(c.params, summands)
+    if forward:
+        return minimize(cone(Morphism(copies, c, 0, comps)))
+    return minimize(shift(cone(Morphism(c, copies, 0, comps)), -1))
 
 
 def apply_letter(letter: BraidLetter, c: TwistedComplex) -> TwistedComplex:

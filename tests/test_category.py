@@ -1,6 +1,6 @@
 import pytest
 
-from plumbtwist.category import ParameterError, category_for, make_params, validate_params
+from plumbtwist.category import MAX_N, ParameterError, category_for, make_params, validate_params
 
 
 @pytest.fixture(scope="module")
@@ -94,5 +94,7 @@ def test_validate_params_accepts_and_rejects():
     assert any("prime" in p for p in validate_params(3, 6))
     assert any("b^0" in p for p in validate_params(4, 0, (2, 0, 0, 0, 1)))
     assert any("palindromic" in p for p in validate_params(4, 0, (1, 1, 0, 0, 1)))
+    assert validate_params(MAX_N, 2) == []
+    assert any("at most" in p for p in validate_params(MAX_N + 1, 2))
     with pytest.raises(ParameterError):
         make_params(2)

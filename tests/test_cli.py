@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from plumbtwist.category import make_params
+from plumbtwist.category import MAX_N, make_params
 from plumbtwist.cli import main
 from plumbtwist.complexes import Summand, TwistedComplex, single_core
 from plumbtwist.serialize import (
@@ -135,6 +135,35 @@ def test_parse_rejects_bool_betti_and_indices():
     with pytest.raises(DocumentError):
         parse_complex(json.dumps(doc))
 
+
+ILL_TYPED = {
+    # an unknown basis name on a chain of two entries
+    "unknown-name": json.dumps({
+        "n": 3, "char": 32003,
+        "summands": [{"vertex": 0, "position": 0}, {"vertex": 1, "position": 0}, {"vertex": 1, "position": 1}],
+        "differential": [
+            {"from": 0, "to": 1, "basis": "zzz", "coeff": "1"},
+            {"from": 1, "to": 2, "basis": "e1", "coeff": "1"},
+        ],
+    }),
+    # known names on the wrong slots, which do not compose
+    "mislabelled": json.dumps({
+        "n": 3, "char": 32003,
+        "summands": [{"vertex": 0, "position": 0}, {"vertex": 1, "position": 0}, {"vertex": 1, "position": 0}],
+        "differential": [
+            {"from": 0, "to": 1, "basis": "e0", "coeff": "1"},
+            {"from": 1, "to": 2, "basis": "q", "coeff": "1"},
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED))
+def test_parse_reports_ill_typed_names_as_degree_violations(name):
+    with pytest.raises(ValidationRejection) as err:
+        parse_complex(ILL_TYPED[name])
+    assert err.value.violations
+    assert {v.kind for v in err.value.violations} == {"degree"}
 
 
 # -- CLI commands ----------------------------------------------------------------------
@@ -313,3 +342,34 @@ def test_cli_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED))
+def test_cli_ill_typed_names_are_rejected_not_crashed(tmp_path, capsys, name):
+    f = tmp_path / "ill.json"
+    f.write_text(ILL_TYPED[name])
+    assert main(["validate", "--in", str(f)]) == 1
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["ok"] is False
+    assert {v["kind"] for v in out["violations"]} == {"degree"}
+    assert main(["hf", "--a", str(f), "--b", str(f)]) == 1
+    assert json.loads(capsys.readouterr().out)["outputs"]["error"] == "validation-error"
+
+
+@pytest.mark.parametrize("length", ["0", "1"])
+def test_cli_orbit_witness_search_exhausted(capsys, length):
+    assert main(["--n", "3", "orbit-witness", "--max-length", length]) == 1
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "search-exhausted"
+    assert f"length <= {length}" in out["detail"]
+
+
+def test_cli_refuses_absurd_n(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": MAX_N + 1, "char": 2, "summands": [], "differential": []}))
+    assert main(["validate", "--in", str(f)]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "schema-error" and f"at most {MAX_N}" in out["detail"]
+    assert main(["--n", str(MAX_N + 1), "rank-table", "--k", "1"]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "usage-error" and f"at most {MAX_N}" in out["detail"]

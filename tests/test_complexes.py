@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from plumbtwist.complexes import (
     total_rank,
     validate,
 )
+from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import LETTERS, apply_braid
 
 from conftest import random_word
@@ -36,6 +38,16 @@ def P(request):
 def two_term_twist_of_q1(P):
     """The complex Q0 -> Q1 with a p-arrow at a shared position."""
     return TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(0, 1): {"p": 1}})
+
+
+def test_int_coefficients_are_reduced_into_the_field():
+    P = make_params(3, 32003)
+    vanishing = TwistedComplex(P, [Summand(0, 0), Summand(0, 1)], {(0, 1): {"e0": 32003}})
+    assert vanishing.delta == {}
+    assert len(minimize(vanishing)) == 2
+    arrow = TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(0, 1): {"p": 32003}})
+    assert json.loads(serialize_complex(arrow))["differential"] == []
+    assert TwistedComplex(P, arrow.summands, {(0, 1): {"p": -1}}).delta == {(0, 1): {"p": 32002}}
 
 
 # -- validate -----------------------------------------------------------------------
