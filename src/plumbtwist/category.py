@@ -66,6 +66,9 @@ class CategoryParams:
 # The cores' dimension n costs time and memory linearly (Betti vectors, degree
 # ranges), and no computation needs it anywhere near this large.
 MAX_N = 10_000
+# Primality is checked by trial division, which at this bound takes milliseconds
+# and above it can take hours; larger characteristics are refused first.
+MAX_CHARACTERISTIC = 2**31 - 1
 
 
 def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
@@ -75,7 +78,9 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
         problems.append(f"n must be an integer >= 3 (got {n}): below that, higher products are not guaranteed to vanish")
     elif n > MAX_N:
         problems.append(f"n must be at most {MAX_N} (got {n})")
-    if characteristic != 0 and not is_prime(characteristic):
+    if characteristic > MAX_CHARACTERISTIC:
+        problems.append(f"characteristic must be at most {MAX_CHARACTERISTIC} (got {characteristic})")
+    elif characteristic != 0 and not is_prime(characteristic):
         problems.append(f"characteristic must be 0 or prime (got {characteristic})")
     if betti0 is not None and isinstance(n, int) and n >= 1:
         b = tuple(betti0)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Echelon, Matrix, Vector, axpy, dense, echelon_of, graded_ranks, invertible_combinations
+from .linalg import Echelon, Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -92,13 +92,10 @@ class TwistedComplex:
     def summand_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((s.vertex, s.position) for s in self.summands))
 
-    def positions(self) -> list[int]:
-        return [s.position for s in self.summands]
-
     def min_position(self) -> int:
         if self.is_empty:
             return 0
-        return min(self.positions())
+        return min(s.position for s in self.summands)
 
     def profile(self) -> tuple[dict[int, int], dict[int, int]]:
         """Multiplicity per position for vertex 0 (U) and vertex 1 (V)."""
@@ -308,8 +305,10 @@ class HomComplex:
     D(f) = delta_d . f - (-1)^g f . delta_c, checked to square to zero.
     It is held sparse: columns[g][k] is the image of generator k of degree g
     as {index in degree g+1: coefficient}. Ranks, kernels and cocycle
-    representatives come from eliminating those columns with linalg.Echelon;
-    differentials is a dense Matrix view for inspection only.
+    representatives come from eliminating those columns with linalg.Echelon,
+    and are sparse vectors over the generators of one degree; morphism turns
+    such a vector into a Morphism, the one place that reads the generator
+    layout. differentials is a dense Matrix view for inspection only.
     """
 
     def __init__(self, c: TwistedComplex, d: TwistedComplex, check: bool = True):
@@ -389,27 +388,37 @@ class HomComplex:
         """The canonical kernel basis of D out of degree g, as sparse vectors."""
         return self._echelon(g, track=True).relations
 
-    def cocycle_representatives(self) -> dict[int, list[list]]:
+    def cocycle_representatives(self) -> dict[int, list[Vector]]:
         """
-        A deterministic cocycle basis of cohomology per degree: the kernel
-        basis vectors, in order, that are independent modulo the coboundaries
-        and those already chosen. Each degree is eliminated once: its tracked
-        echelon gives the kernel, and its rows, the same as untracked ones,
-        span the coboundaries of the next degree.
+        A deterministic cocycle basis of cohomology per degree, in increasing
+        degree: the kernel basis vectors, in order, that are independent
+        modulo the coboundaries and those already chosen, as sparse vectors
+        over the generators of their degree. Each degree is eliminated once:
+        its tracked echelon gives the kernel, and its rows, the same as
+        untracked ones, span the coboundaries of the next degree.
         """
         field = self.params.field
-        reps: dict[int, list[list]] = {}
+        reps: dict[int, list[Vector]] = {}
         below, below_degree = None, None
-        for g, gens in self.components.items():
+        for g in self.components:
             ech = self._echelon(g, track=True)
             span = Echelon(field)
             if below_degree == g - 1:
                 span.rows = dict(below.rows)  # insert adds rows but never changes one
-            chosen = [dense(field, vec, len(gens)) for vec in ech.relations if span.insert(vec)]
+            chosen = [vec for vec in ech.relations if span.insert(vec)]
             if chosen:
                 reps[g] = chosen
             below, below_degree = ech, g
         return reps
+
+    def morphism(self, g: int, vec: Vector) -> Morphism:
+        """The degree-g morphism source -> target with coordinates vec over the degree-g generators."""
+        gens = self.components[g]
+        comps: dict[tuple[int, int], Combo] = {}
+        for k, value in vec.items():
+            i, j, name = gens[k]
+            comps.setdefault((i, j), {})[name] = value
+        return Morphism(self.source, self.target, g, comps)
 
 
 def _accumulate(field, index, col: Vector, i: int, j: int, combo: Combo, negate: bool) -> None:
@@ -536,32 +545,20 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
         return YES
 
     hom = hom_complex(cm, dm, check=False)
-    gens0 = hom.components.get(0, ())
-    if not gens0:
-        return INCONCLUSIVE
     kernel = hom.kernel(0)
     if not kernel:
         return INCONCLUSIVE
 
     field = c.params.field
-    unit_names = {"e0", "e1"}
     eblocks = []  # the unit part of each kernel vector, as a sparse {(row, col): value} block
     for vec in kernel:
-        eb = {}
-        for idx, val in vec.items():
-            i, j, name = gens0[idx]
-            if name in unit_names:
-                eb[(j, i)] = val
-        eblocks.append(eb)
+        comps = hom.morphism(0, vec).comps.items()
+        eblocks.append({(j, i): x for (i, j), combo in comps for name, x in combo.items() if name in ("e0", "e1")})
     for coeffs in invertible_combinations(field, len(cm), eblocks, seed):
         acc: Vector = {}
         for cf, vec in zip(coeffs, kernel):
             if cf:
                 axpy(acc, vec, cf, field.characteristic)
-        comps: dict[tuple[int, int], Combo] = {}
-        for idx, val in acc.items():
-            i, j, name = gens0[idx]
-            comps.setdefault((i, j), {})[name] = val
-        if minimize(cone(Morphism(cm, dm, 0, comps))).is_empty:
+        if minimize(cone(hom.morphism(0, acc))).is_empty:
             return YES
     return INCONCLUSIVE

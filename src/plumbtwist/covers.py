@@ -129,7 +129,7 @@ def fibre_rank(c: TwistedComplex, vertex: int) -> dict[int, int]:
             dims[s.position] = where[k] + 1
     columns = {t: [{} for _ in range(size)] for t, size in dims.items()}
     for (i, j), combo in c.delta.items():
-        coeff = field.element(combo.get(unit, 0))
+        coeff = combo.get(unit)
         if coeff:  # valid: a unit entry joins two vertex summands one position apart
             columns[c.summands[i].position][where[i]][where[j]] = coeff
     return graded_ranks(field, dims, columns)

@@ -235,14 +235,6 @@ def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence
     return ranks
 
 
-def dense(field: Field, vec: Vector, size: int) -> list:
-    """A sparse vector written out as a list of the given length."""
-    out = [field.zero] * size
-    for k, x in vec.items():
-        out[k] = x
-    return out
-
-
 class Matrix:
     """
     A small dense rows x cols matrix over a Field: the HomComplex.differentials
@@ -333,7 +325,7 @@ class Matrix:
             row = rows[c]
             for c2 in [k for k in row if k != c and k in rows]:
                 axpy(row, rows[c2], -row[c2], p)
-        out = [dense(f, rows[c], self.cols) for c in pivots]
+        out = [[rows[c].get(k, f.zero) for k in range(self.cols)] for c in pivots]
         out += [[f.zero] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix(f, out, coerce=False), pivots
 

@@ -166,7 +166,7 @@ def _vertical_rank(c: TwistedComplex, position: int) -> tuple[int, int, int]:
     vs = [k for k, s in enumerate(c.summands) if s.vertex == 1 and s.position == position]
     columns = []
     for i in us:
-        coeffs = (field.element(c.delta.get((i, j), {}).get("p", 0)) for j in vs)
+        coeffs = (c.delta.get((i, j), {}).get("p") for j in vs)
         columns.append({r: x for r, x in enumerate(coeffs) if x})
     return len(echelon_of(field, columns)), len(us), len(vs)
 

@@ -13,6 +13,7 @@ coefficients normalized), so serialize(parse(x)) is the canonical form of x.
 from __future__ import annotations
 
 import json
+import re
 
 from .category import CategoryParams, ParameterError, make_params
 from .complexes import Summand, TwistedComplex, Violation, validate
@@ -35,6 +36,10 @@ def params_to_dict(params: CategoryParams) -> dict:
     if params.betti0 is not None:
         doc["betti0"] = list(params.betti0)
     return doc
+
+
+# The coefficient strings Field.format emits: ASCII digits, optional minus, optional denominator.
+COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _is_int(value) -> bool:
@@ -105,8 +110,8 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
             raise DocumentError(f"differential entry {k}: summand index out of range ({i} -> {j})")
         if not isinstance(basis, str):
             raise DocumentError(f"differential entry {k}: 'basis' must be a string")
-        if not isinstance(coeff, str) and not _is_int(coeff):
-            raise DocumentError(f"differential entry {k}: coefficient {coeff!r} must be an integer or a string")
+        if not (_is_int(coeff) or isinstance(coeff, str) and COEFFICIENT.fullmatch(coeff)):
+            raise DocumentError(f"differential entry {k}: coefficient {coeff!r} must be an integer or a decimal string")
         try:
             value = field.element(coeff)
         except (ValueError, ZeroDivisionError) as exc:
@@ -125,7 +130,7 @@ def parse_complex(text: str) -> TwistedComplex:
     """Parse a JSON document into a validated complex."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and over-long integers
         raise DocumentError(f"not valid JSON: {exc}") from exc
     return complex_from_dict(doc)
 

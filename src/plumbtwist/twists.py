@@ -86,16 +86,14 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     forward = power == 1
     core = single_core(c.params, vertex)
     hom = hom_complex(core, c, check=False) if forward else hom_complex(c, core, check=False)
-    reps = hom.cocycle_representatives()
     summands: list[Summand] = []
     comps: dict[tuple[int, int], dict] = {}
-    for g in sorted(reps):
-        for vec in reps[g]:
+    for g, reps in hom.cocycle_representatives().items():
+        for vec in reps:
             k = len(summands)
             summands.append(Summand(vertex, power * g))
-            for idx, (i, j, name) in enumerate(hom.components[g]):
-                if vec[idx]:
-                    comps.setdefault((k, j) if forward else (i, k), {})[name] = vec[idx]
+            for (i, j), combo in hom.morphism(g, vec).comps.items():
+                comps[(k, j) if forward else (i, k)] = combo
     copies = TwistedComplex(c.params, summands)
     if forward:
         return minimize(cone(Morphism(copies, c, 0, comps)))

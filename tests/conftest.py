@@ -4,7 +4,7 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
-from plumbtwist.linalg import dense, echelon_of
+from plumbtwist.linalg import echelon_of
 from plumbtwist.twists import LETTERS, apply_braid
 
 
@@ -25,6 +25,14 @@ def braid_corpus(n: int, count: int, max_len: int, seed: int):
 
 
 # -- dense linear algebra on top of linalg.Echelon -----------------------------------------
+
+
+def dense(field, vec, size):
+    """A sparse vector written out as a list of the given length."""
+    out = [field.zero] * size
+    for k, x in vec.items():
+        out[k] = x
+    return out
 
 
 def columns_of(entries, ncols):

@@ -1,6 +1,6 @@
 import pytest
 
-from plumbtwist.category import MAX_N, ParameterError, category_for, make_params, validate_params
+from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, ParameterError, category_for, make_params, validate_params
 
 
 @pytest.fixture(scope="module")
@@ -96,5 +96,7 @@ def test_validate_params_accepts_and_rejects():
     assert any("palindromic" in p for p in validate_params(4, 0, (1, 1, 0, 0, 1)))
     assert validate_params(MAX_N, 2) == []
     assert any("at most" in p for p in validate_params(MAX_N + 1, 2))
+    assert validate_params(3, MAX_CHARACTERISTIC) == []  # the bound is the Mersenne prime 2^31 - 1
+    assert any("at most" in p for p in validate_params(3, 2**61 - 1))  # prime, but refused before trial division
     with pytest.raises(ParameterError):
         make_params(2)

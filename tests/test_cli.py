@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from plumbtwist.category import MAX_N, make_params
+from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
 from plumbtwist.complexes import Summand, TwistedComplex, single_core
 from plumbtwist.serialize import (
@@ -100,6 +100,11 @@ HOSTILE = {
     "bool-coeff": _hostile(coeff=True),
     "bool-vertex": _hostile(vertex=True),
     "zero-denominator": _hostile(coeff="1/0"),
+    "underscore-coeff": _hostile(coeff="1_000"),
+    "padded-coeff": _hostile(coeff=" +7 "),
+    "non-ascii-digit-coeff": _hostile(coeff="\u0663"),
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "over-long-integer": '{"n": 3, "char": ' + "7" * 5000 + ', "summands": [], "differential": []}',
 }
 
 
@@ -373,3 +378,20 @@ def test_cli_refuses_absurd_n(tmp_path, capsys):
     assert main(["--n", str(MAX_N + 1), "rank-table", "--k", "1"]) == 2
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert out["error"] == "usage-error" and f"at most {MAX_N}" in out["detail"]
+
+
+def test_cli_refuses_huge_characteristic(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division on it would run for hours, so it is refused first.
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"n": 3, "char": MAX_CHARACTERISTIC, "summands": [], "differential": []}))
+    assert main(["validate", "--in", str(f)]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == {"ok": True, "violations": []}
+    f.write_text(json.dumps({"n": 3, "char": 2**61 - 1, "summands": [], "differential": []}))
+    assert main(["validate", "--in", str(f)]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "schema-error" and f"at most {MAX_CHARACTERISTIC}" in out["detail"]
+    assert main(["--char", str(MAX_CHARACTERISTIC), "rank-table", "--k", "1"]) == 0
+    assert capsys.readouterr().out == "k,total_rank\n1,1\n"
+    assert main(["--char", str(2**61 - 1), "rank-table", "--k", "1"]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "usage-error" and f"at most {MAX_CHARACTERISTIC}" in out["detail"]

@@ -18,7 +18,7 @@ from plumbtwist.complexes import hom_complex, single_core
 from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import apply_braid, word_to_string
 
-from conftest import random_word
+from conftest import dense, random_word
 
 GOLDEN = {
     2: "69896894db84fd9bc2d138fa3ca23915e430d2874a1aa5ac91932653cd0ff230",
@@ -44,8 +44,10 @@ def golden_lines(characteristic: int):
             x = apply_braid(word, start)
             yield f"{word} from Q{start.summands[0].vertex}: {serialize_complex(x)}"
             for core in cores:
-                reps = hom_complex(core, x).cocycle_representatives()
-                shown = {g: [[field.format(v) for v in vec] for vec in vecs] for g, vecs in sorted(reps.items())}
+                hom = hom_complex(core, x)
+                reps = hom.cocycle_representatives()
+                shown = {g: [[field.format(v) for v in dense(field, vec, len(hom.components[g]))] for vec in vecs]
+                         for g, vecs in sorted(reps.items())}
                 yield f"  reps hom(Q{core.summands[0].vertex}, x): {shown}"
 
 

@@ -135,6 +135,19 @@ def test_single_twist_rank_growth_is_strict(P):
     assert all(b > a for a, b in zip(totals, totals[1:])), totals
 
 
+def test_deep_alternating_ladder_follows_fibonacci():
+    # (s0 S1)^k Q0 has F(2k+1) summands, and hf against Q0 and Q1 has total
+    # ranks F(2k) and F(2k-1); ac07 checks k <= 8, this continues the ladder.
+    params = make_params(3, 32003)
+    q0, q1 = single_core(params, 0), single_core(params, 1)
+    c = apply_braid(" ".join(["s0 S1"] * 8), q0)
+    got = {}
+    for k in (9, 10):
+        c = apply_braid("s0 S1", c)
+        got[k] = (len(c), total_rank(hf_ranks(q0, c)), total_rank(hf_ranks(q1, c)))
+    assert got == {9: (4181, 2584, 1597), 10: (10946, 6765, 4181)}
+
+
 def test_central_word_acts_as_pure_shift(P):
     # (T1 T0)^3 is the boundary twist: it fixes each core up to shift, which
     # is why its rank sequence is periodic rather than growing.
