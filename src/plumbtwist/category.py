@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Field, is_prime
+from .linalg import MAX_CHARACTERISTIC, Field, is_prime
 
 
 class ParameterError(ValueError):
@@ -66,9 +66,6 @@ class CategoryParams:
 # The cores' dimension n costs time and memory linearly (Betti vectors, degree
 # ranges), and no computation needs it anywhere near this large.
 MAX_N = 10_000
-# Primality is checked by trial division, which at this bound takes milliseconds
-# and above it can take hours; larger characteristics are refused first.
-MAX_CHARACTERISTIC = 2**31 - 1
 
 
 def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:

@@ -309,22 +309,35 @@ class HomComplex:
     and are sparse vectors over the generators of one degree; morphism turns
     such a vector into a Morphism, the one place that reads the generator
     layout. differentials is a dense Matrix view for inspection only.
+
+    An optional window of degrees builds only what D out of those degrees
+    needs: the generators of the window's degrees and of their successors,
+    and columns only for the window's degrees. Each degree keeps the full
+    hom's generator order, so kernel(g) for g in the window is the full
+    hom's, vector for vector. The quasi-isomorphism oracle reads only
+    kernel(0), so it builds the window {0}. Cohomology needs D into a degree
+    as well as out of it, so cohomology_ranks and cocycle_representatives
+    refuse a windowed hom, and kernel refuses a degree outside the window.
     """
 
-    def __init__(self, c: TwistedComplex, d: TwistedComplex, check: bool = True):
+    def __init__(self, c: TwistedComplex, d: TwistedComplex, check: bool = True,
+                 degrees: Iterable[int] | None = None):
         assert c.params == d.params, "hom complex needs matching category parameters"
         self.source = c
         self.target = d
         self.params = c.params
+        self.window = None if degrees is None else frozenset(degrees)
         field = c.params.field
         cat = c.category
 
+        keep = None if self.window is None else self.window | {g + 1 for g in self.window}
         components: dict[int, list[Gen]] = {}
         for i, a in enumerate(c.summands):
             for j, b in enumerate(d.summands):
                 for m in cat.morphism_space(a.vertex, b.vertex):
                     g = m.degree - a.position + b.position
-                    components.setdefault(g, []).append((i, j, m.name))
+                    if keep is None or g in keep:
+                        components.setdefault(g, []).append((i, j, m.name))
         self.components = {g: tuple(gens) for g, gens in sorted(components.items())}
         self.index = {gen: (g, k) for g, gens in self.components.items() for k, gen in enumerate(gens)}
 
@@ -333,6 +346,8 @@ class HomComplex:
         index = self.index
         self.columns: dict[int, list[Vector]] = {}
         for g, gens in self.components.items():
+            if self.window is not None and g not in self.window:
+                continue
             negate = g % 2 == 0  # the sign -(-1)^g
             cols = []
             for i, j, name in gens:
@@ -376,12 +391,19 @@ class HomComplex:
 
     def _echelon(self, g: int, track: bool = False) -> Echelon:
         """The columns of D out of degree g, eliminated; with track, relations are its kernel basis."""
+        if self.window is not None and g not in self.window:
+            raise ValueError(f"degree {g} is outside this hom complex's window {sorted(self.window)}")
         return echelon_of(self.params.field, self.columns.get(g, ()), track)
+
+    def _require_whole(self, what: str) -> None:
+        if self.window is not None:
+            raise ValueError(f"{what} needs every degree; this hom complex has the window {sorted(self.window)}")
 
     def dimensions(self) -> dict[int, int]:
         return {g: len(gens) for g, gens in self.components.items()}
 
     def cohomology_ranks(self) -> dict[int, int]:
+        self._require_whole("cohomology_ranks")
         return graded_ranks(self.params.field, self.dimensions(), self.columns)
 
     def kernel(self, g: int) -> list[Vector]:
@@ -397,6 +419,7 @@ class HomComplex:
         its tracked echelon gives the kernel, and its rows, the same as
         untracked ones, span the coboundaries of the next degree.
         """
+        self._require_whole("cocycle_representatives")
         field = self.params.field
         reps: dict[int, list[Vector]] = {}
         below, below_degree = None, None
@@ -436,8 +459,9 @@ def _accumulate(field, index, col: Vector, i: int, j: int, combo: Combo, negate:
             col.pop(row, None)
 
 
-def hom_complex(c: TwistedComplex, d: TwistedComplex, check: bool = True) -> HomComplex:
-    return HomComplex(c, d, check=check)
+def hom_complex(c: TwistedComplex, d: TwistedComplex, check: bool = True,
+                degrees: Iterable[int] | None = None) -> HomComplex:
+    return HomComplex(c, d, check=check, degrees=degrees)
 
 
 def hf_ranks(c: TwistedComplex, d: TwistedComplex) -> dict[int, int]:
@@ -544,7 +568,7 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     if cm.is_empty:
         return YES
 
-    hom = hom_complex(cm, dm, check=False)
+    hom = hom_complex(cm, dm, check=False, degrees={0})
     kernel = hom.kernel(0)
     if not kernel:
         return INCONCLUSIVE

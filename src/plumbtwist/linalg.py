@@ -41,6 +41,9 @@ def is_prime(m: int) -> bool:
 
 
 DEFAULT_PRIME = 32003
+# Primality is checked by trial division, which at this bound takes milliseconds
+# and above it can take hours; larger characteristics are refused first.
+MAX_CHARACTERISTIC = 2**31 - 1
 
 
 class FieldError(ValueError):
@@ -55,6 +58,8 @@ class Field:
 
     def __post_init__(self):
         c = self.characteristic
+        if c > MAX_CHARACTERISTIC:
+            raise FieldError(f"characteristic must be at most {MAX_CHARACTERISTIC}, got {c}")
         if c != 0 and not is_prime(c):
             raise FieldError(f"characteristic must be 0 or prime, got {c}")
 

@@ -17,6 +17,15 @@ a last resort.
 Certificates are never trusted from the trace: the word is re-applied to the
 original input and the result checked against the claimed target with the
 quasi-isomorphism oracle before a Certificate is returned.
+
+normalize does not test admissibility up front. Twists are autoequivalences,
+so a verified certificate c = T_w^-1(Q_v[s]^m) carries the admissible
+endomorphism algebra of Q_v^m (degrees 0 and n) over to c: accepting a
+certificate already proves c admissible, and hf(c, c), quadratic in the
+length of c, is computed only when the reduction or the verification fails.
+It then tells an inadmissible input (InadmissibleInput) from a genuine
+failure on an admissible one (the original error). The cx + 4 step budget
+bounds the attempt on any input.
 """
 
 from __future__ import annotations
@@ -323,15 +332,24 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
     """
     Reduce an admissible complex to multiplicity many copies of one shifted
     core; the returned certificate has been re-verified against the input.
+    Admissibility is computed only when the reduction fails: it then decides
+    between InadmissibleInput and the reduction's own error.
     """
     require_valid(c, "normalize input")
     if c.is_empty:
         raise PreconditionViolated("the empty complex lies in no core's orbit")
-    adm = admissible(c)
-    if not adm.ok:
-        raise InadmissibleInput(
-            "endomorphisms in negative degrees " + ", ".join(str(g) for g, _ in adm.negative_degrees))
+    try:
+        return _certify(c, structural_checks, seed)
+    except NormalizeError as exc:
+        adm = admissible(c)
+        if not adm.ok:
+            raise InadmissibleInput(
+                "endomorphisms in negative degrees " + ", ".join(str(g) for g, _ in adm.negative_degrees)) from exc
+        raise
 
+
+def _certify(c: TwistedComplex, structural_checks: bool, seed: int) -> Certificate:
+    """The reduction within its step budget, then the re-verified certificate."""
     work, _ = shift_normalized(minimize(c))
     trace: list[TraceEntry] = []
     budget = complexity(work).cx + 4

@@ -158,6 +158,17 @@ def test_hom_complex_differential_on_two_term_complex(P):
     assert col[f_gen[1]] == P.field.one  # q composes with p to the top class
 
 
+def test_windowed_hom_refuses_what_needs_other_degrees(P):
+    c = apply_braid("s0 S1", single_core(P, 0))
+    full, window = hom_complex(c, c), hom_complex(c, c, degrees={0})
+    assert set(window.components) == {0, 1} and set(window.columns) == {0}
+    assert window.components[0] == full.components[0] and window.components[1] == full.components[1]
+    assert window.kernel(0) == full.kernel(0)
+    for refused in (window.cohomology_ranks, window.cocycle_representatives, lambda: window.kernel(1)):
+        with pytest.raises(ValueError, match="window"):
+            refused()
+
+
 def test_hf_ranks_of_cores(P):
     q0, q1 = single_core(P, 0), single_core(P, 1)
     assert hf_ranks(q0, q1) == {1: 1}

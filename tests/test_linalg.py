@@ -4,6 +4,7 @@ from itertools import islice, product
 
 import pytest
 
+from plumbtwist import category, linalg
 from plumbtwist.linalg import (
     SAMPLE_BUDGET,
     Field,
@@ -31,6 +32,19 @@ def test_characteristic_must_be_prime_or_zero():
     Field(2)
     with pytest.raises(FieldError):
         Field(6)
+
+
+def test_field_refuses_huge_characteristic_before_trial_division(monkeypatch):
+    # Trial division of the prime 2^61 - 1 would take hours; the bound must refuse it first.
+    assert category.MAX_CHARACTERISTIC is linalg.MAX_CHARACTERISTIC == 2**31 - 1
+    Field(2**31 - 1)
+
+    def no_trial_division(m):
+        raise AssertionError(f"is_prime({m}) ran")
+
+    monkeypatch.setattr(linalg, "is_prime", no_trial_division)
+    with pytest.raises(FieldError, match="at most 2147483647"):
+        Field(2**61 - 1)
 
 
 def test_element_coercion_and_format():

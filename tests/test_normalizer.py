@@ -14,6 +14,7 @@ from plumbtwist.complexes import (
     single_core,
     validate,
 )
+from plumbtwist import normalizer
 from plumbtwist.normalizer import (
     Certificate,
     ComplexityNotReduced,
@@ -30,6 +31,7 @@ from plumbtwist.normalizer import (
 from plumbtwist.twists import BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word
+from test_normalizer_golden import inadmissible_corpus
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +225,47 @@ def test_normalize_trivial_inputs(P):
 def test_normalize_rejects_inadmissible(P):
     with pytest.raises(InadmissibleInput):
         normalize(direct_sum(single_core(P, 0), shift(single_core(P, 0), 1)))
+
+
+def test_normalize_certifies_without_computing_admissibility(monkeypatch):
+    # A verified certificate already proves admissibility, so accepted inputs never reach hf(c, c).
+    def refuse(c):
+        raise AssertionError("admissible() ran on an input normalize accepts")
+
+    monkeypatch.setattr(normalizer, "admissible", refuse)
+    for characteristic in (2, 32003, 0):
+        params = make_params(3, characteristic)
+        rng = random.Random(700 + characteristic)
+        for _ in range(6):
+            c = apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2)))
+            for x, multiplicity in ((c, 1), (direct_sum(c, c), 2)):
+                cert = normalize(x)
+                final = apply_braid(cert.word, x)
+                assert cert.multiplicity == multiplicity == len(final) and not final.delta
+                assert set(final.summands) == {Summand(cert.target_vertex, -cert.shift)}
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_normalize_rejects_every_inadmissible_input_by_its_negative_degrees(characteristic):
+    # The reduction runs first on these inputs; its failure must still be reported as inadmissibility.
+    for x in inadmissible_corpus(3, characteristic):
+        expected = "endomorphisms in negative degrees " + ", ".join(
+            str(g) for g, _ in admissible(x).negative_degrees)
+        with pytest.raises(InadmissibleInput) as caught:
+            normalize(x)
+        assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("k", (6, 7))
+def test_normalize_deep_ladder(k):
+    # (s0 S1)^k Q0 has 233 and 610 summands; its certificate must replay to one shifted core.
+    params = make_params(3, 32003)
+    c = apply_braid(" ".join(["s0 S1"] * k), single_core(params, 0))
+    cert = normalize(c)
+    final = apply_braid(cert.word, c)
+    assert len(c) == {6: 233, 7: 610}[k]
+    assert cert.multiplicity == len(final) == 1 and not final.delta
+    assert final.summands == (Summand(cert.target_vertex, -cert.shift),)
 
 
 def test_normalize_round_trip_small_corpus():

@@ -2,9 +2,11 @@
 Property tests on hostile documents and on random braid images.
 
 Parsing must turn any JSON into a complex or into one of its two documented
-errors. Cancelling a contractible summand must give back the minimal model,
-and the lengths and ranks of the braid images of a core must be the same
-over F_2, F_32003 and Q.
+errors, and must give back every complex it serialized. Cancelling a
+contractible summand must give back the minimal model, and the lengths and
+ranks of the braid images of a core must be the same over F_2, F_32003 and
+Q. A hom complex built for the degree-0 window must have the full hom's
+kernel out of degree 0, and the quasi-isomorphism oracle must be symmetric.
 """
 
 import json
@@ -12,7 +14,20 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
-from plumbtwist.complexes import Morphism, cone, direct_sum, hf_ranks, minimize, shift, single_core
+from plumbtwist.complexes import (
+    NO,
+    YES,
+    Morphism,
+    cone,
+    direct_sum,
+    equivalent,
+    hf_ranks,
+    hom_complex,
+    minimize,
+    shift,
+    single_core,
+)
+from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.serialize import DocumentError, ValidationRejection, parse_complex, serialize_complex
 from plumbtwist.twists import LETTERS, apply_braid
 
@@ -105,3 +120,54 @@ def test_braid_image_ranks_agree_over_every_field(word, vertex):
         x = apply_braid(word, single_core(make_params(3, characteristic), vertex))
         seen.append((len(x), _core_ranks(x), hf_ranks(x, x)))
     assert seen[0] == seen[1] == seen[2]
+
+
+@st.composite
+def complexes(draw, params):
+    """A braid image, a direct sum of two, or the specialization of one to a cover of either core."""
+    x = draw(braid_images(params))
+    kind = draw(st.sampled_from(("braid", "sum", "cover")))
+    if kind == "sum":
+        return direct_sum(x, draw(braid_images(params)))
+    if kind == "cover":
+        return specialize(x, CoverSpec(draw(st.integers(0, 1))))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CHARACTERISTICS))
+def test_serialize_round_trips(data, characteristic):
+    x = data.draw(complexes(make_params(3, characteristic)))
+    back = parse_complex(serialize_complex(x))
+    assert back.params == x.params and back.summands == x.summands and back.delta == x.delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CHARACTERISTICS))
+def test_windowed_kernel_matches_full_kernel(data, characteristic):
+    params = make_params(3, characteristic)
+    c = data.draw(complexes(params))
+    d = c if data.draw(st.booleans()) else data.draw(complexes(params))
+    assert hom_complex(c, d, degrees={0}).kernel(0) == hom_complex(c, d).kernel(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), words, st.integers(0, 1), st.sampled_from(CHARACTERISTICS))
+def test_equivalent_is_symmetric(data, word, vertex, characteristic):
+    # b is a longer word for the same braid, shifted by 0 (equivalent) or 1 (not),
+    # or an unrelated braid image; a yes must never meet a no in either order.
+    params = make_params(3, characteristic)
+    core = single_core(params, vertex)
+    a = apply_braid(word, core)
+    wrong = None
+    if data.draw(st.booleans()):
+        letter = data.draw(st.sampled_from(LETTERS))
+        at = data.draw(st.integers(0, len(word)))
+        moved = data.draw(st.integers(0, 1))
+        b = shift(apply_braid(word[:at] + (letter, letter.inverse()) + word[at:], core), moved)
+        wrong = YES if moved else NO
+    else:
+        b = data.draw(braid_images(params))
+    for x, y in ((a, b), (direct_sum(a, a), direct_sum(b, b))):
+        verdict = equivalent(x, y)
+        assert equivalent(y, x) == verdict != wrong
