@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=3, help="dimension of the cores (default 3)")
     parser.add_argument("--char", type=int, default=32003, help="field characteristic, 0 for the rationals")
     parser.add_argument("--betti0", type=str, default=None, help="comma-separated Betti vector for Q0")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the quasi-isomorphism search")
+    parser.add_argument("--seed", type=int, default=0, help="seed for the quasi-isomorphism search; only equiv reads it")
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     parser.add_argument("--timing", action="store_true", help="report wall time on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,7 +192,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
     if cmd == "normalize":
         c = _load_complex(args.infile, documents)
         try:
-            cert = normalize(c, seed=args.seed)
+            cert = normalize(c)
         except InadmissibleInput as exc:
             return {"error": "inadmissible", "detail": str(exc)}, REJECTED
         except NormalizeError as exc:

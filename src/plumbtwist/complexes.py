@@ -229,6 +229,11 @@ def require_valid(c: TwistedComplex, what: str = "complex") -> None:
         raise ComplexError(f"{what} fails validation: " + "; ".join(v.message for v in bad[:4]))
 
 
+def require_same_params(c: TwistedComplex, d: TwistedComplex, what: str) -> None:
+    if c.params != d.params:
+        raise ComplexError(f"{what} needs matching category parameters")
+
+
 # -- structural operations ----------------------------------------------------------
 
 
@@ -257,7 +262,7 @@ def restrict(c: TwistedComplex, members: Sequence[int], delta=None) -> TwistedCo
 
 
 def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
-    assert c.params == d.params, "direct_sum needs matching category parameters"
+    require_same_params(c, d, "direct_sum")
     off = len(c)
     delta = dict(c.delta)
     for (i, j), combo in d.delta.items():
@@ -322,7 +327,7 @@ class HomComplex:
 
     def __init__(self, c: TwistedComplex, d: TwistedComplex, check: bool = True,
                  degrees: Iterable[int] | None = None):
-        assert c.params == d.params, "hom complex needs matching category parameters"
+        require_same_params(c, d, "hom complex")
         self.source = c
         self.target = d
         self.params = c.params
@@ -484,8 +489,7 @@ def cone(f: Morphism) -> TwistedComplex:
     """
     if f.degree != 0:
         raise ComplexError(f"cone needs a degree-0 morphism, got degree {f.degree}")
-    if f.source.params != f.target.params:
-        raise ComplexError("cone needs matching category parameters on both sides")
+    require_same_params(f.source, f.target, "cone")
     dfail = f.differential().comps
     if dfail:
         raise ComplexError(f"cone needs a closed morphism; D(f) is nonzero at slots {sorted(dfail)}")
@@ -561,6 +565,7 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     multisets, then search the space of closed degree-0 maps for one whose
     cone minimizes to the empty complex. Never returns a wrong yes/no.
     """
+    require_same_params(c, d, "equivalent")
     cm = minimize(c)
     dm = minimize(d)
     if cm.summand_multiset() != dm.summand_multiset():

@@ -15,8 +15,9 @@ the same letters and accepts whichever works, with a bounded word search as
 a last resort.
 
 Certificates are never trusted from the trace: the word is re-applied to the
-original input and the result checked against the claimed target with the
-quasi-isomorphism oracle before a Certificate is returned.
+original input, and a Certificate is returned only if the replay is copies
+of one shifted core with zero differential, on the nose. Twists are
+autoequivalences, so that replay is the proof; no oracle is asked.
 
 normalize does not test admissibility up front. Twists are autoequivalences,
 so a verified certificate c = T_w^-1(Q_v[s]^m) carries the admissible
@@ -30,7 +31,6 @@ bounds the attempt on any input.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .complexes import (
@@ -40,11 +40,9 @@ from .complexes import (
     minimize,
     require_valid,
     shift_normalized,
-    equivalent,
-    YES,
 )
 from .linalg import echelon_of
-from .twists import LETTERS, BraidLetter, BraidWord, apply_braid, apply_letter, word_to_string
+from .twists import BraidLetter, BraidWord, apply_braid, apply_letter, braid_images, word_to_string
 
 
 class NormalizeError(RuntimeError):
@@ -277,9 +275,8 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
     def candidates():
         for letter, tag in choices:
             yield (letter,), f"base-{tag}", apply_letter(letter, c)
-        for length in range(1, bfs_length + 1):
-            for word in itertools.product(LETTERS, repeat=length):
-                yield word, "fallback", apply_braid(word, c)
+        for word, result in braid_images(c, bfs_length):
+            yield word, "fallback", result
 
     for word, tag, result in candidates():
         result, _ = shift_normalized(result)
@@ -331,15 +328,17 @@ class Certificate:
 def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) -> Certificate:
     """
     Reduce an admissible complex to multiplicity many copies of one shifted
-    core; the returned certificate has been re-verified against the input.
-    Admissibility is computed only when the reduction fails: it then decides
-    between InadmissibleInput and the reduction's own error.
+    core; the returned certificate's word has been replayed on the input and
+    landed on those copies on the nose. Admissibility is computed only when
+    the reduction fails: it then decides between InadmissibleInput and the
+    reduction's own error. seed is ignored; it is kept for callers that
+    still pass it.
     """
     require_valid(c, "normalize input")
     if c.is_empty:
         raise PreconditionViolated("the empty complex lies in no core's orbit")
     try:
-        return _certify(c, structural_checks, seed)
+        return _certify(c, structural_checks)
     except NormalizeError as exc:
         adm = admissible(c)
         if not adm.ok:
@@ -348,8 +347,8 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
         raise
 
 
-def _certify(c: TwistedComplex, structural_checks: bool, seed: int) -> Certificate:
-    """The reduction within its step budget, then the re-verified certificate."""
+def _certify(c: TwistedComplex, structural_checks: bool) -> Certificate:
+    """The reduction within its step budget, then the replayed certificate."""
     work, _ = shift_normalized(minimize(c))
     trace: list[TraceEntry] = []
     budget = complexity(work).cx + 4
@@ -364,13 +363,12 @@ def _certify(c: TwistedComplex, structural_checks: bool, seed: int) -> Certifica
 
     word = tuple(letter for entry in trace for letter in entry.letters)
     final = apply_braid(word, c)
+    # One (vertex, position) class and no differential is Q_v[s]^m itself, so
+    # the identity is the quasi-isomorphism: the replay is the whole check.
     classes = {(s.vertex, s.position) for s in final.summands}
     if len(classes) != 1 or final.delta:
         raise CertificateError(f"word {word_to_string(word)} did not land on copies of one shifted core: {final}")
     vertex, position = classes.pop()
-    target = TwistedComplex(c.params, [Summand(vertex, position)] * len(final))
-    if equivalent(final, target, seed=seed) != YES:
-        raise CertificateError("re-verification of the certificate failed")
     return Certificate(
         word=word,
         target_vertex=vertex,

@@ -17,7 +17,6 @@ an emergent property the tests observe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .category import make_params
@@ -32,7 +31,6 @@ from .complexes import (
     require_valid,
     shift,
     single_core,
-    YES,
 )
 
 
@@ -130,21 +128,34 @@ class SearchExhausted(RuntimeError):
     expectation that the two cores lie in one braid orbit, so shout."""
 
 
+def braid_images(c: TwistedComplex, max_length: int):
+    """
+    (word, apply_braid(word, c)) for every word of length 1..max_length,
+    shortest first and in itertools.product(LETTERS, repeat=length) order
+    within one length. Each image is its prefix's image twisted once, and
+    only the images along the current prefix are held.
+    """
+    def extend(word, image, length):
+        if len(word) == length:
+            yield word, image
+            return
+        for letter in LETTERS:
+            yield from extend(word + (letter,), apply_letter(letter, image), length)
+
+    start = minimize(c)
+    for length in range(1, max_length + 1):
+        yield from extend((), start, length)
+
+
 def core_orbit_witness(n: int, characteristic: int = 32003, max_length: int = 4) -> tuple[BraidWord, int]:
     """
-    A braid word w and shift s with apply_braid(w, Q0) equivalent to Q1[s],
-    found by breadth-first search over words of length <= max_length.
+    A braid word w and shift s with apply_braid(w, Q0) = Q1[s] on the nose,
+    the first of braid_images(Q0, max_length) to land there (shortest first).
     """
-    params = make_params(n, characteristic)
-    q0 = single_core(params, 0)
-    for length in range(1, max_length + 1):
-        for letters in itertools.product(LETTERS, repeat=length):
-            result = apply_braid(letters, q0)
-            if len(result) == 1 and result.summands[0].vertex == 1:
-                s = -result.summands[0].position
-                target = single_core(params, 1, result.summands[0].position)
-                if equivalent(result, target) == YES:
-                    return tuple(letters), s
+    q0 = single_core(make_params(n, characteristic), 0)
+    for word, result in braid_images(q0, max_length):
+        if len(result) == 1 and result.summands[0].vertex == 1 and not result.delta:
+            return word, -result.summands[0].position
     raise SearchExhausted(
         f"no braid word of length <= {max_length} carries Q0 to a shifted Q1 at n={n}; "
         "this contradicts the expected single-orbit picture and needs investigation")

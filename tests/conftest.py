@@ -12,6 +12,11 @@ def random_word(rng: random.Random, max_len: int, min_len: int = 1):
     return tuple(rng.choice(LETTERS) for _ in range(rng.randrange(min_len, max_len + 1)))
 
 
+def refuse_oracle(*args):
+    """Stands in for complexes.invertible_combinations where the oracle must not run."""
+    raise AssertionError("the quasi-isomorphism oracle ran")
+
+
 def braid_corpus(n: int, count: int, max_len: int, seed: int):
     """Seeded braid-orbit complexes (word, complex) over the default field."""
     params = make_params(n)

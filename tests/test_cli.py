@@ -6,7 +6,7 @@ import pytest
 
 from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
-from plumbtwist.complexes import Summand, TwistedComplex, single_core
+from plumbtwist.complexes import Summand, TwistedComplex, direct_sum, single_core
 from plumbtwist.serialize import (
     DocumentError,
     ValidationRejection,
@@ -14,6 +14,7 @@ from plumbtwist.serialize import (
     parse_complex,
     serialize_complex,
 )
+from plumbtwist.twists import apply_braid
 
 MINIMAL = '{"n": 4, "char": 0, "summands": [{"vertex": 0, "position": 0}], "differential": []}'
 
@@ -248,6 +249,19 @@ def test_cli_normalize_and_exit_codes(tmp_path):
     proc = run_cli("normalize", "--in", str(h))
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["outputs"]["error"] == "inadmissible"
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_cli_normalize_certifies_six_copies(tmp_path, characteristic):
+    image = apply_braid("s0 S1", single_core(make_params(3, characteristic), 0))
+    six = image
+    for _ in range(5):
+        six = direct_sum(six, image)
+    f = tmp_path / "six.json"
+    f.write_text(serialize_complex(six))
+    proc = run_cli("normalize", "--in", str(f))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["outputs"]["certificate"]["multiplicity"] == 6
 
 
 def test_cli_specialize_decompose_fibre(tmp_path):

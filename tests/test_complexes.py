@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import plumbtwist
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
     INCONCLUSIVE,
@@ -302,3 +306,28 @@ def test_cone_euler_characteristic_additivity(P):
                 assert chi(hf_ranks(probe, cn)) == chi(hf_ranks(probe, d)) - chi(hf_ranks(probe, c))
             tests += 1
     assert tests >= 4
+
+
+@pytest.mark.parametrize("other", [(4, 32003), (3, 2)], ids=["n", "characteristic"])
+@pytest.mark.parametrize("operation", [hf_ranks, equivalent, direct_sum])
+def test_mismatched_parameters_raise(operation, other):
+    a = single_core(make_params(3, 32003), 0)
+    for b in (single_core(make_params(*other), 0), single_core(make_params(*other), 1)):
+        with pytest.raises(ComplexError, match="matching category parameters"):
+            operation(a, b)
+
+
+def test_mismatched_parameters_raise_under_optimize():
+    # Under python -O an assert would vanish and hf_ranks would answer across two categories.
+    code = (
+        "from plumbtwist.category import make_params\n"
+        "from plumbtwist.complexes import ComplexError, hf_ranks, single_core\n"
+        "try:\n"
+        "    print(hf_ranks(single_core(make_params(3), 0), single_core(make_params(4), 0)))\n"
+        "except ComplexError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(plumbtwist.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout == "refused: hom complex needs matching category parameters\n", proc.stderr

@@ -14,11 +14,13 @@ from plumbtwist.complexes import (
     single_core,
     validate,
 )
-from plumbtwist import normalizer
+from plumbtwist import complexes, normalizer, twists
 from plumbtwist.normalizer import (
     Certificate,
+    CertificateError,
     ComplexityNotReduced,
     InadmissibleInput,
+    NormalizerDeadEnd,
     PreconditionViolated,
     admissible,
     complexity,
@@ -30,7 +32,7 @@ from plumbtwist.normalizer import (
 )
 from plumbtwist.twists import BraidLetter, apply_braid
 
-from conftest import braid_corpus, random_word
+from conftest import braid_corpus, random_word, refuse_oracle
 from test_normalizer_golden import inadmissible_corpus
 
 
@@ -292,3 +294,76 @@ def test_connected_input_yields_multiplicity_one(P):
         c = apply_braid(random_word(rng, 6), q0)
         assert hf_ranks(c, c)[0] == 1
         assert normalize(c).multiplicity == 1
+
+
+# -- certificates checked on the nose ---------------------------------------------------------
+
+
+def copies(x, m):
+    out = x
+    for _ in range(m - 1):
+        out = direct_sum(out, x)
+    return out
+
+
+def assert_replays_on_the_nose(cert, c, multiplicity):
+    final = apply_braid(cert.word, c)
+    assert cert.multiplicity == multiplicity == len(final) and not final.delta
+    assert set(final.summands) == {Summand(cert.target_vertex, -cert.shift)}
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+@pytest.mark.parametrize("m", (6, 7, 8))
+def test_normalize_certifies_many_copies(characteristic, m):
+    # The oracle's sampled candidates are all singular on six or more copies of a core,
+    # so the certificate must rest on the replay alone.
+    params = make_params(3, characteristic)
+    for x in (apply_braid("s0 S1", single_core(params, 0)), shift(single_core(params, 1), 2)):
+        c = copies(x, m)
+        assert_replays_on_the_nose(normalize(c), c, m)
+
+
+def test_normalize_never_asks_the_oracle(monkeypatch):
+    monkeypatch.setattr(complexes, "invertible_combinations", refuse_oracle)
+    for characteristic in (2, 32003, 0):
+        params = make_params(3, characteristic)
+        rng = random.Random(710 + characteristic)
+        for _ in range(6):
+            c = apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2)))
+            for m in (1, 2, 6):
+                x = copies(c, m)
+                assert_replays_on_the_nose(normalize(x), x, m)
+
+
+@pytest.mark.parametrize("extra", ("shifted core", "nothing"))
+def test_replay_off_one_shifted_core_is_refused(monkeypatch, P, extra):
+    replay = normalizer.apply_braid
+
+    def missed(word, c):
+        if extra == "nothing":
+            return TwistedComplex(c.params, [])
+        return direct_sum(replay(word, c), shift(single_core(c.params, 0), 1))
+
+    monkeypatch.setattr(normalizer, "apply_braid", missed)
+    with pytest.raises(CertificateError):
+        normalize(apply_braid("s0 s1", single_core(P, 0)))
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_exhausted_base_case_search_twists_each_prefix_once(monkeypatch, characteristic):
+    # Q0[-1] + Q0 + Q1 is inadmissible and too short for a top-class arrow. The search
+    # tries the two case letters, then words of length 1, 2 and 3, each extending its
+    # prefix's image by one twist: 2 + 4 + (4 + 16) + (4 + 16 + 64) = 110 twists.
+    params = make_params(3, characteristic)
+    c = TwistedComplex(params, [Summand(0, 1), Summand(0, 0), Summand(1, 0)])
+    calls = []
+    real = twists.twist
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twists, "twist", counted)
+    with pytest.raises(NormalizerDeadEnd, match="no word of length <= 3"):
+        reduction_step(c, bfs_length=3)
+    assert len(calls) == 110

@@ -7,9 +7,12 @@ contractible summand must give back the minimal model, and the lengths and
 ranks of the braid images of a core must be the same over F_2, F_32003 and
 Q. A hom complex built for the degree-0 window must have the full hom's
 kernel out of degree 0, and the quasi-isomorphism oracle must be symmetric.
+The alternating braid words must follow their Fibonacci closed forms from
+any shifted core, with the complex re-gauged before every twist.
 """
 
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,7 @@ from plumbtwist.complexes import (
     NO,
     YES,
     Morphism,
+    TwistedComplex,
     cone,
     direct_sum,
     equivalent,
@@ -29,7 +33,7 @@ from plumbtwist.complexes import (
 )
 from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.serialize import DocumentError, ValidationRejection, parse_complex, serialize_complex
-from plumbtwist.twists import LETTERS, apply_braid
+from plumbtwist.twists import LETTERS, BraidLetter, apply_braid, apply_letter
 
 CHARACTERISTICS = (2, 32003, 0)
 
@@ -171,3 +175,38 @@ def test_equivalent_is_symmetric(data, word, vertex, characteristic):
     for x, y in ((a, b), (direct_sum(a, a), direct_sum(b, b))):
         verdict = equivalent(x, y)
         assert equivalent(y, x) == verdict != wrong
+
+
+def _fibonacci(i):
+    a, b = 0, 1
+    for _ in range(i):
+        a, b = b, a + b
+    return a
+
+
+def _gauge(c, rng):
+    """An isomorphic copy of c: summand i rescaled by a unit u_i, so entry (i, j) becomes u_j x / u_i."""
+    field = c.params.field
+    p = field.characteristic
+    units = [rng.randrange(1, p) if p else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in c.summands]
+    delta = {(i, j): {name: field.mul(field.mul(units[j], x), field.inv(units[i])) for name, x in combo.items()}
+             for (i, j), combo in c.delta.items()}
+    return TwistedComplex(c.params, c.summands, delta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 1), st.integers(-4, 4), st.integers(1, 5), st.booleans(),
+       st.sampled_from(CHARACTERISTICS), st.randoms(use_true_random=False))
+def test_alternating_words_follow_fibonacci_under_gauges(v, s, k, twist_first, characteristic, rng):
+    # (s_v S_{1-v})^k Q_v[s] has F(2k+1) summands and hf totals F(2k) against Q_v and
+    # F(2k-1) against Q_{1-v}; (S_{1-v} s_v)^k Q_v[s] has F(2k+2), F(2k) and F(2k+1).
+    params = make_params(3, characteristic)
+    cores = (single_core(params, v), single_core(params, 1 - v))
+    pair = (BraidLetter(v, 1), BraidLetter(1 - v, -1))
+    c = shift(cores[0], s)
+    for letter in (pair if twist_first else pair[::-1]) * k:
+        c = apply_letter(letter, _gauge(c, rng))
+    got = (len(c), sum(hf_ranks(cores[0], c).values()), sum(hf_ranks(cores[1], c).values()))
+    f = _fibonacci
+    assert got == ((f(2 * k + 1), f(2 * k), f(2 * k - 1)) if twist_first else (f(2 * k + 2), f(2 * k), f(2 * k + 1)))

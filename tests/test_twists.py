@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from plumbtwist import complexes
 from plumbtwist.category import ParameterError, make_params
 from plumbtwist.complexes import (
     YES,
@@ -15,10 +17,13 @@ from plumbtwist.complexes import (
     total_rank,
     validate,
 )
+from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import (
+    LETTERS,
     BraidLetter,
     SearchExhausted,
     apply_braid,
+    braid_images,
     check_braid_relation,
     core_orbit_witness,
     invert_word,
@@ -27,7 +32,7 @@ from plumbtwist.twists import (
     word_to_string,
 )
 
-from conftest import braid_corpus, random_word
+from conftest import braid_corpus, random_word, refuse_oracle
 
 
 @pytest.fixture(scope="module", params=[3, 4])
@@ -172,3 +177,20 @@ def test_core_orbit_witness_rejects_bad_dimension():
 def test_core_orbit_witness_search_exhaustion_is_loud():
     with pytest.raises(SearchExhausted):
         core_orbit_witness(3, max_length=0)
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_braid_images_equal_apply_braid_from_scratch(characteristic):
+    params = make_params(3, characteristic)
+    for c in (single_core(params, 0), apply_braid("s0 S1", single_core(params, 1))):
+        got = [(word, serialize_complex(x)) for word, x in braid_images(c, 3)]
+        want = [(word, serialize_complex(apply_braid(word, c)))
+                for length in (1, 2, 3) for word in itertools.product(LETTERS, repeat=length)]
+        assert got == want
+
+
+def test_core_orbit_witness_needs_no_oracle(monkeypatch):
+    # The image of Q0 is one vertex-1 summand and no differential: Q1[s] itself.
+    monkeypatch.setattr(complexes, "invertible_combinations", refuse_oracle)
+    for n in range(3, 7):
+        assert core_orbit_witness(n) == (parse_word("s1 s0"), 2 - n)
