@@ -5,7 +5,7 @@ Every command reads complex documents in the JSON format of serialize.py and
 writes one canonical JSON report to stdout (rank-table writes CSV instead).
 Exit codes: 0 on success, 1 on mathematical rejection (invalid or
 inadmissible input, incompatible cover, exhausted orbit search), 2 on usage
-or schema errors.
+or schema errors and on an --out path that cannot be written.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
 goes to stderr and only with --timing. A report's "inputs" field is the
 sha256 of the arguments and of the text of every document the command read.
@@ -287,17 +287,22 @@ def main(argv=None) -> int:
     except (ParameterError, ValueError) as exc:
         payload, code = {"error": "usage-error", "detail": str(exc)}, USAGE
 
-    if isinstance(payload, str):
-        text = payload  # CSV output
-    else:
+    def render(payload) -> str:
+        if isinstance(payload, str):
+            return payload  # CSV output
         inputs = _digest(canonical_json(sys.argv[1:] if argv is None else list(argv)), *documents)
-        report = {"command": args.command, "inputs": inputs, "outputs": payload}
-        text = canonical_json(report) + "\n"
+        return canonical_json({"command": args.command, "inputs": inputs, "outputs": payload}) + "\n"
+
+    text = render(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text = ""
+        except OSError as exc:
+            text = render({"error": "unwritable-output", "detail": f"cannot write {args.out}: {exc}"})
+            code = USAGE
+    sys.stdout.write(text)
     if args.timing:
         sys.stderr.write(f"wall_time_ms={int((time.monotonic() - started) * 1000)}\n")
     return code

@@ -44,7 +44,7 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "degree", "triangularity", "maurer-cartan", "reach"
+    kind: str  # "vertex", "degree", "triangularity", "maurer-cartan", "reach"
     slot: tuple[int, int] | None
     message: str
 
@@ -125,7 +125,8 @@ def validate(c: TwistedComplex) -> list[Violation]:
     """All invariant violations; an empty list means the complex is well-formed."""
     cat = c.category
     n = c.params.n
-    out: list[Violation] = []
+    out = [Violation("vertex", None, f"summand {i} sits on vertex {s.vertex}; the cores are Q0 and Q1")
+           for i, s in enumerate(c.summands) if s.vertex not in (0, 1)]
     for (i, j), combo in sorted(c.delta.items()):
         if not (0 <= i < len(c)) or not (0 <= j < len(c)):
             # Nothing else is meaningful with dangling indices.
@@ -156,9 +157,9 @@ def validate(c: TwistedComplex) -> list[Violation]:
                 out.append(Violation("reach", (i, j), f"top-class entry leaves position {c.summands[i].position}, "
                                                       f"below minimum+n-1 = {floor}"))
 
-    # Composing needs well-typed entries: an unknown or mislabelled basis name
-    # is reported as a degree violation above, not squared.
-    if not any(v.kind == "degree" for v in out):
+    # Composing needs well-typed entries on the two cores: an unknown or
+    # mislabelled basis name or a stray vertex is reported above, not squared.
+    if not any(v.kind in ("vertex", "degree") for v in out):
         out.extend(maurer_cartan_defects(c))
     return out
 

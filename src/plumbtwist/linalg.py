@@ -13,7 +13,9 @@ value one. It optionally tracks which inserted vectors each row combines,
 which yields kernels. graded_ranks turns the sparse columns of a graded
 differential into cohomology ranks (hom complexes, the cotangent-fibre
 pairing), and invertible_combinations samples an affine family of sparse
-square blocks for invertible members (the quasi-isomorphism oracle). The
+square blocks for invertible members (the quasi-isomorphism oracle): the
+all-ones point first, then seeded random points, then, over fields of fewer
+than SMALL_FIELD_BOUND elements, a sweep of a 2-parameter sub-family. The
 small dense Matrix class is a view for inspection and tests; its rank and
 rref run on Echelon too.
 """
@@ -24,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -67,6 +70,8 @@ class Field:
 
     def element(self, value) -> int | Fraction:
         """Coerce an int, Fraction or 'num/den' string into a field element."""
+        if isinstance(value, (bool, float)):
+            raise FieldError(f"field elements come from ints, Fractions or decimal strings, not {value!r}")
         if isinstance(value, str):
             if "/" in value:
                 num, den = value.split("/", 1)
@@ -121,12 +126,6 @@ class Field:
         if self.characteristic:
             return rng.randrange(self.characteristic)
         return Fraction(rng.randrange(-9, 10))
-
-    def all_elements(self) -> list:
-        """Every element; only sensible for small prime fields."""
-        if self.characteristic == 0:
-            raise FieldError("the rationals cannot be enumerated")
-        return list(range(self.characteristic))
 
 
 Vector = dict  # {key: field element}, zero values never stored; keys are indices, basis names or (row, col)
@@ -350,56 +349,26 @@ SAMPLE_BUDGET = 32  # seeded points tried before declaring none
 SMALL_FIELD_BOUND = 33  # fields with fewer elements get the exhaustive fallback
 
 
-def candidate_coefficients(field: Field, count: int, seed: int) -> Iterable[tuple]:
+def candidate_coefficients(field: Field, count: int, seed: int) -> Iterator[tuple]:
     """
-    Deterministic stream of coefficient tuples for an affine matrix family.
-
-    Starts with the all-ones point and the standard unit vectors (the common
-    winners), then seeded random points up to SAMPLE_BUDGET; over fields with
-    fewer than SMALL_FIELD_BOUND elements it finishes by exhausting a
-    2-parameter sub-family.
+    Deterministic stream of coefficient tuples for an affine matrix family,
+    repeats dropped: the all-ones point, then SAMPLE_BUDGET - 1 points drawn
+    from random.Random(seed); over fields with fewer than SMALL_FIELD_BOUND
+    elements it finishes by exhausting the 2-parameter sub-family on the
+    first two coefficients. By the Schwartz-Zippel lemma a random point of a
+    family whose determinant is not identically zero is invertible with high
+    probability over a large field.
     """
-    if count == 0:
-        yield ()
-        return
+    rng = random.Random(seed)
+    samples = (tuple(field.random_element(rng) for _ in range(count)) for _ in range(SAMPLE_BUDGET - 1))
+    p = field.characteristic
+    rest = (field.zero,) * (count - 2)
+    sweep = ((a, b)[:count] + rest for a in range(p) for b in range(p)) if 0 < p < SMALL_FIELD_BOUND else ()
     seen = set()
-
-    def emit(t):
+    for t in chain([(field.one,) * count], samples, sweep):
         if t not in seen:
             seen.add(t)
-            return True
-        return False
-
-    one, zero = field.one, field.zero
-    first = [tuple([one] * count)]
-    for i in range(count):
-        vec = [zero] * count
-        vec[i] = one
-        first.append(tuple(vec))
-    budget = SAMPLE_BUDGET
-    for t in first:
-        if budget <= 0:
-            break
-        if emit(t):
-            budget -= 1
             yield t
-    rng = random.Random(seed)
-    while budget > 0:
-        t = tuple(field.random_element(rng) for _ in range(count))
-        budget -= 1
-        if emit(t):
-            yield t
-    if field.characteristic and field.characteristic < SMALL_FIELD_BOUND:
-        elements = field.all_elements()
-        for a in elements:
-            for b in elements:
-                vec = [zero] * count
-                vec[0] = a
-                if count > 1:
-                    vec[1] = b
-                t = tuple(vec)
-                if emit(t):
-                    yield t
 
 
 def invertible_combinations(field: Field, size: int, blocks: Sequence[Vector], seed: int = 0) -> Iterator[tuple]:

@@ -81,6 +81,8 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     require_valid(c, "twist input")
     if power not in (1, -1):
         raise ValueError(f"twist power must be +1 or -1, got {power}")
+    if vertex not in (0, 1):
+        raise ValueError(f"twist vertex must be 0 or 1, got {vertex}")
     forward = power == 1
     core = single_core(c.params, vertex)
     hom = hom_complex(core, c, check=False) if forward else hom_complex(c, core, check=False)

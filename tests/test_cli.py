@@ -264,6 +264,38 @@ def test_cli_normalize_certifies_six_copies(tmp_path, characteristic):
     assert json.loads(proc.stdout)["outputs"]["certificate"]["multiplicity"] == 6
 
 
+def test_cli_equiv_confirms_six_copies(tmp_path):
+    six = single_core(make_params(3), 0)
+    for _ in range(5):
+        six = direct_sum(six, single_core(make_params(3), 0))
+    f = tmp_path / "six.json"
+    f.write_text(serialize_complex(six))
+    proc = run_cli("equiv", "--a", str(f), "--b", str(f))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["outputs"]["verdict"] == "yes"
+
+
+def test_cli_out_writes_the_report_instead_of_stdout(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--n", "3", "feasibility", "--betti", "1,0,0,1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["--n", "3", "feasibility", "--betti", "1,0,0,1"]) == 0
+    written, printed = json.loads(out.read_text()), json.loads(capsys.readouterr().out)
+    assert written["command"] == "feasibility"
+    assert written["outputs"] == printed["outputs"] and "feasibility" in written["outputs"]
+
+
+def test_cli_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    # A missing parent directory, not file permissions: root may write anywhere.
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--out", str(out), "--n", "3", "feasibility", "--betti", "1,0,0,1"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "feasibility"
+    assert report["outputs"]["error"] == "unwritable-output"
+    assert str(out) in report["outputs"]["detail"]
+    assert not out.parent.exists()
+
+
 def test_cli_specialize_decompose_fibre(tmp_path):
     doc = {
         "n": 3, "char": 2,

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
 import plumbtwist
 from plumbtwist.category import make_params
+from plumbtwist.linalg import FieldError
 from plumbtwist.complexes import (
     INCONCLUSIVE,
     NO,
@@ -54,11 +56,28 @@ def test_int_coefficients_are_reduced_into_the_field():
     assert TwistedComplex(P, arrow.summands, {(0, 1): {"p": -1}}).delta == {(0, 1): {"p": 32002}}
 
 
+@pytest.mark.parametrize("coeff", [0.5, 1.0, True])
+def test_float_and_bool_coefficients_are_refused(coeff):
+    P = make_params(3, 32003)
+    with pytest.raises(FieldError):
+        TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(0, 1): {"p": coeff}})
+
+
 # -- validate -----------------------------------------------------------------------
 
 
 def test_validate_single_summand(P):
     assert validate(single_core(P, 0)) == []
+
+
+def test_validate_rejects_summand_off_the_two_cores(P):
+    for stray in (single_core(P, 2), direct_sum(single_core(P, 0), single_core(P, -1, 3))):
+        bad = validate(stray)
+        assert [v.kind for v in bad] == ["vertex"]
+        assert bad[0].slot is None
+    # The Maurer-Cartan check, which would look up the missing core, is skipped.
+    dangling = TwistedComplex(P, [Summand(0, 0), Summand(2, 0)], {(0, 1): {"p": 1}})
+    assert [v.kind for v in validate(dangling)] == ["vertex", "degree"]
 
 
 def test_validate_reports_mc_obstruction_slot(P):
@@ -276,6 +295,22 @@ def test_equivalent_braid_relation_words(P):
     left = apply_braid("s0 s1 s0", q0)
     right = apply_braid("s1 s0 s1", q0)
     assert equivalent(left, right) == YES
+
+
+@pytest.mark.parametrize("characteristic", [2, 32003, 0])
+def test_equivalent_confirms_many_copies(characteristic):
+    # The degree-0 kernel of hom(c^m, c^m) has m^2 or more vectors, each of rank
+    # one on its own; only points with many nonzero coefficients are invertible.
+    q0 = single_core(make_params(3, characteristic), 0)
+    for base in (q0, apply_braid("s0 S1", q0)):
+        for m in (6, 7, 8):
+            c = reduce(direct_sum, [base] * m)
+            assert [equivalent(c, c, seed) for seed in range(3)] == [YES] * 3
+
+
+def test_equivalent_confirms_five_copies_over_f2_for_every_seed():
+    c = reduce(direct_sum, [single_core(make_params(3, 2), 0)] * 5)
+    assert [seed for seed in range(40) if equivalent(c, c, seed) != YES] == []
 
 
 def test_equivalent_distinguishes_connected_from_split():

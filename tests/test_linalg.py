@@ -34,6 +34,16 @@ def test_characteristic_must_be_prime_or_zero():
         Field(6)
 
 
+@pytest.mark.parametrize("characteristic", [0, 7, 32003])
+def test_field_element_refuses_floats_and_bools(characteristic):
+    f = Field(characteristic)
+    for value in (2.9, 0.1, 2.0, True, False):
+        with pytest.raises(FieldError):
+            f.element(value)
+    assert f.element(3) == f.element("3") == f.element(Fraction(3)) == 3
+    assert f.element("1/2") == f.element(Fraction(1, 2))
+
+
 def test_field_refuses_huge_characteristic_before_trial_division(monkeypatch):
     # Trial division of the prime 2^61 - 1 would take hours; the bound must refuse it first.
     assert category.MAX_CHARACTERISTIC is linalg.MAX_CHARACTERISTIC == 2**31 - 1
@@ -105,12 +115,26 @@ def test_kernel_vectors_annihilate_and_solve_is_exact(field):
 
 
 def test_invertible_combinations_unit_vectors_first(field):
-    one, zero = field.one, field.zero
+    one = field.one
     identity = {(i, i): one for i in range(3)}
     assert next(invertible_combinations(field, 3, [identity])) == (one,)
-    # The all-ones point gives I - I = 0; the unit vectors come next.
+    # The all-ones point gives I - I = 0; any later winner has c1 != c2.
     minus = {(i, i): field.neg(one) for i in range(3)}
-    assert list(islice(invertible_combinations(field, 3, [identity, minus]), 2)) == [(one, zero), (zero, one)]
+    c1, c2 = next(invertible_combinations(field, 3, [identity, minus]))
+    assert c1 != c2
+
+
+def test_candidate_coefficients_stream(field):
+    for count in (1, 2, 5, 12):
+        stream = list(candidate_coefficients(field, count, 7))
+        assert stream[0] == (field.one,) * count
+        assert len(set(stream)) == len(stream)
+        assert stream == list(candidate_coefficients(field, count, 7))
+        if count >= 5:
+            assert stream != list(candidate_coefficients(field, count, 8))
+        if field.characteristic not in range(1, linalg.SMALL_FIELD_BOUND):
+            assert len(stream) <= SAMPLE_BUDGET
+    assert list(candidate_coefficients(field, 0, 7)) == [()]
 
 
 def test_invertible_combinations_zero_family(field):

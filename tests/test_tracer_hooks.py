@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import plumbtwist
-from plumbtwist import complexes, twists
+from plumbtwist import complexes, normalizer, twists
 from plumbtwist.category import make_params
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -32,9 +32,14 @@ def test_span_recorder_hooks_fire():
         assert len(x) == 5
         assert complexes.total_rank(complexes.hf_ranks(x, x)) > 0
         assert twists.check_braid_relation(q0) == complexes.YES
+        assert normalizer.normalize(x).multiplicity == 1
     finally:
         recorder.uninstall()
     counts = recorder.counts
     assert counts["complexes.hom_builds"] > 0
     assert counts["twists.twist_calls"] > 0
     assert counts["complexes.oracle_candidates"] > 0
+    assert counts["complexes.oracle_cones"] > 0
+    assert counts["category.compose_calls"] > 0
+    assert counts["complexes.minimize_calls"] > 0
+    assert counts["normalizer.steps"] > 0

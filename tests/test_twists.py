@@ -57,6 +57,13 @@ def test_twist_shift_law(P):
         assert equivalent(t, shift(q, 1 - n)) == YES
 
 
+def test_twist_refuses_bad_vertex_and_power(P):
+    q0 = single_core(P, 0)
+    for vertex, power in ((2, 1), (-1, 1), (0, 2)):
+        with pytest.raises(ValueError):
+            twist(q0, vertex, power)
+
+
 def test_twist_of_other_core_is_two_term_complex(P):
     got = twist(single_core(P, 1), 0, 1)
     assert got.summands == (Summand(0, 0), Summand(1, 0))
