@@ -42,13 +42,6 @@ from .twists import SearchExhausted, apply_braid, core_orbit_witness, parse_word
 
 OK, REJECTED, USAGE = 0, 1, 2
 
-COMMANDS = (
-    "validate", "hf", "twist", "braid", "normalize", "equiv",
-    "specialize", "decompose", "fibre-rank", "feasibility",
-    "rank-table", "orbit-witness",
-)
-
-
 class CliFailure(Exception):
     def __init__(self, code: int, reason: str, detail: str):
         self.code = code

@@ -132,8 +132,8 @@ def validate(c: TwistedComplex) -> list[Violation]:
             # Nothing else is meaningful with dangling indices.
             return [Violation("degree", (i, j), "entry indexes a missing summand")]
         if i == j:
+            # Its basis names are still checked below, so an ill-typed loop is never squared.
             out.append(Violation("triangularity", (i, j), "self-loop entry"))
-            continue
         a, b = c.summands[i], c.summands[j]
         want = c.entry_degree(i, j)
         for name in sorted(combo):
@@ -314,7 +314,8 @@ class HomComplex:
     representatives come from eliminating those columns with linalg.Echelon,
     and are sparse vectors over the generators of one degree; morphism turns
     such a vector into a Morphism, the one place that reads the generator
-    layout. differentials is a dense Matrix view for inspection only.
+    layout. differentials is a dense Matrix view that nothing in the library
+    reads: the traced benchmark counts nonzeros and cells on it.
 
     An optional window of degrees builds only what D out of those degrees
     needs: the generators of the window's degrees and of their successors,
@@ -335,6 +336,10 @@ class HomComplex:
         self.window = None if degrees is None else frozenset(degrees)
         field = c.params.field
         cat = c.category
+        for side, x in (("source", c), ("target", d)):
+            for i, s in enumerate(x.summands):
+                if s.vertex not in (0, 1):
+                    raise ComplexError(f"hom complex: {side} summand {i} is {s!r}, off the cores Q0 and Q1")
 
         keep = None if self.window is None else self.window | {g + 1 for g in self.window}
         components: dict[int, list[Gen]] = {}
@@ -360,9 +365,9 @@ class HomComplex:
                 one = {name: field.one}
                 col: Vector = {}
                 for j2, combo in out_of.get(j, ()):
-                    _accumulate(field, index, col, i, j2, cat.compose(combo, one), False)
+                    _accumulate(field, index, col, g, i, j2, cat.compose(combo, one), False)
                 for i2, combo in into.get(i, ()):
-                    _accumulate(field, index, col, i2, j, cat.compose(one, combo), negate)
+                    _accumulate(field, index, col, g, i2, j, cat.compose(one, combo), negate)
                 cols.append(col)
             self.columns[g] = cols
         if check:
@@ -392,7 +397,7 @@ class HomComplex:
             for k, col in enumerate(cols):
                 for r, v in col.items():
                     mat[r][k] = v
-            out[g] = Matrix(field, mat, cols=len(cols), coerce=False)
+            out[g] = Matrix(field, mat, cols=len(cols))
         return out
 
     def _echelon(self, g: int, track: bool = False) -> Echelon:
@@ -450,13 +455,14 @@ class HomComplex:
         return Morphism(self.source, self.target, g, comps)
 
 
-def _accumulate(field, index, col: Vector, i: int, j: int, combo: Combo, negate: bool) -> None:
-    """Add the image combo at slot (i, j) into a hom-differential column."""
+def _accumulate(field, index, col: Vector, g: int, i: int, j: int, combo: Combo, negate: bool) -> None:
+    """Add the image combo at slot (i, j) into the column of a degree-g hom generator."""
     for name, coeff in combo.items():
         gen = (i, j, name)
         slot = index.get(gen)
-        if slot is None:
-            raise ComplexError(f"hom differential leaves the graded module at {gen}")
+        if slot is None or slot[0] != g + 1:
+            # Only an entry of delta of the wrong degree sends D out of degree g + 1.
+            raise ComplexError(f"hom differential sends degree {g} to {gen}, which is not in degree {g + 1}")
         row = slot[1]
         acc = field.add(col.get(row, field.zero), field.neg(coeff) if negate else coeff)
         if acc:
@@ -471,7 +477,13 @@ def hom_complex(c: TwistedComplex, d: TwistedComplex, check: bool = True,
 
 
 def hf_ranks(c: TwistedComplex, d: TwistedComplex) -> dict[int, int]:
-    """Degreewise cohomology ranks of the hom complex from c to d."""
+    """
+    Degreewise cohomology ranks of the hom complex from c to d. Neither
+    complex is validated and D . D = 0 is not checked: the ranks are right
+    only when delta squares to zero on both, as validate ensures. An entry
+    of the wrong degree raises ComplexError, and a differential whose ranks
+    come out negative raises ValueError; other failures go unnoticed.
+    """
     return hom_complex(c, d, check=False).cohomology_ranks()
 
 

@@ -16,8 +16,9 @@ pairing), and invertible_combinations samples an affine family of sparse
 square blocks for invertible members (the quasi-isomorphism oracle): the
 all-ones point first, then seeded random points, then, over fields of fewer
 than SMALL_FIELD_BOUND elements, a sweep of a 2-parameter sub-family. The
-small dense Matrix class is a view for inspection and tests; its rank and
-rref run on Echelon too.
+dense Matrix is a thin view of already-canonical entries that keeps only
+the members the traced benchmark reads; its rref and det_nonzero run on
+Echelon too.
 """
 
 from __future__ import annotations
@@ -229,11 +230,15 @@ def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence
     Cohomology ranks of a cochain complex with dims[g] generators in degree g,
     whose differential out of degree g has the sparse columns columns[g]
     (keyed by index in degree g + 1). Degrees of rank zero are left out.
+    A negative rank can only come from a differential that does not square
+    to zero, and raises ValueError.
     """
     rank = {g: len(echelon_of(field, cols)) for g, cols in columns.items()}
     ranks: dict[int, int] = {}
     for g, size in dims.items():
         r = size - rank.get(g, 0) - rank.get(g - 1, 0)
+        if r < 0:
+            raise ValueError(f"negative rank {r} in degree {g}: the differential does not square to zero")
         if r:
             ranks[g] = r
     return ranks
@@ -241,77 +246,23 @@ def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence
 
 class Matrix:
     """
-    A small dense rows x cols matrix over a Field: the HomComplex.differentials
-    view, the oracle's candidate blocks, and mul and is_zero for ac10's
-    independent Maurer-Cartan check. Values are immutable by convention.
-    Public construction coerces every entry through Field.element; internal
-    constructors pass coerce=False with entries that are already canonical.
+    A dense rows x cols view over a Field whose entries are already field
+    elements; nothing is coerced. Elimination runs on Echelon, and this class
+    keeps only what the traced benchmark (perfbench/spans.py) reads:
+    __init__, rref and det_nonzero, which it wraps by name, and field, rows,
+    cols and entries, which it reads off HomComplex.differentials and the
+    oracle's candidate blocks. _row_vectors feeds rref and det_nonzero.
     """
 
-    # perfbench/spans.py patches __init__, rref and det_nonzero by name.
     __slots__ = ("field", "rows", "cols", "entries")
 
-    def __init__(self, field: Field, entries: Sequence[Sequence], cols: int | None = None, coerce: bool = True):
+    def __init__(self, field: Field, entries: Sequence[Sequence], cols: int | None = None):
         self.field = field
-        if coerce:
-            element = field.element
-            self.entries = tuple(tuple(element(v) for v in row) for row in entries)
-        else:
-            self.entries = tuple(map(tuple, entries))
+        self.entries = tuple(map(tuple, entries))
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else (cols or 0)
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged rows")
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols, coerce=False)
-
-    @classmethod
-    def identity(cls, field: Field, size: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(size)] for i in range(size)], coerce=False)
-
-    # -- basics ----------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.entries == other.entries
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.entries, self.cols))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(self.field.format(v) for v in row) for row in self.entries)
-        return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        """The product, in plain exact arithmetic, skipping zero entries."""
-        assert self.cols == other.rows, "shape mismatch"
-        f = self.field
-        p = f.characteristic
-        out = []
-        for row in self.entries:
-            acc = [f.zero] * other.cols
-            for a, brow in zip(row, other.entries):
-                if a:
-                    for k, b in enumerate(brow):
-                        if b:
-                            acc[k] += a * b
-            out.append([x % p for x in acc] if p else acc)
-        return Matrix(f, out, cols=other.cols, coerce=False)
-
-    # -- elimination -------------------------------------------------------------
 
     def _row_vectors(self) -> list[Vector]:
         return [{k: v for k, v in enumerate(row) if v} for row in self.entries]
@@ -331,16 +282,12 @@ class Matrix:
                 axpy(row, rows[c2], -row[c2], p)
         out = [[rows[c].get(k, f.zero) for k in range(self.cols)] for c in pivots]
         out += [[f.zero] * self.cols for _ in range(self.rows - len(pivots))]
-        return Matrix(f, out, coerce=False), pivots
-
-    def rank(self) -> int:
-        """Row rank over the field."""
-        return len(echelon_of(self.field, self._row_vectors()))
+        return Matrix(f, out), pivots
 
     def det_nonzero(self) -> bool:
         """Whether a square matrix is invertible."""
         assert self.rows == self.cols
-        return self.rank() == self.rows
+        return len(echelon_of(self.field, self._row_vectors())) == self.rows
 
 
 # -- affine families of square matrices -------------------------------------------
@@ -386,5 +333,5 @@ def invertible_combinations(field: Field, size: int, blocks: Sequence[Vector], s
         rows = [[field.zero] * size for _ in range(size)]
         for (r, s), x in acc.items():
             rows[r][s] = x
-        if Matrix(field, rows, cols=size, coerce=False).det_nonzero():
+        if Matrix(field, rows, cols=size).det_nonzero():
             yield coeffs

@@ -40,6 +40,11 @@ def dense(field, vec, size):
     return out
 
 
+def rank_of(field, entries):
+    """The row rank of a dense matrix: the size of the echelon of its rows."""
+    return len(echelon_of(field, ({k: v for k, v in enumerate(row) if v} for row in entries)))
+
+
 def columns_of(entries, ncols):
     """The columns of a dense matrix, as sparse vectors."""
     return [{r: row[k] for r, row in enumerate(entries) if row[k]} for k in range(ncols)]

@@ -104,6 +104,11 @@ def test_validate_rejects_wrong_degree_and_self_loop(P):
     assert "degree" in kinds
     loop = TwistedComplex(P, [Summand(0, 0)], {(0, 0): {"e0": 1}})
     assert any(v.kind == "triangularity" for v in validate(loop))
+    # p is not a map Q1 -> Q1: the loop is reported, not squared (p after p cannot compose).
+    ill_typed = TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(1, 1): {"p": 1}})
+    found = [(v.kind, v.slot) for v in validate(ill_typed)]
+    assert ("triangularity", (1, 1)) in found and ("degree", (1, 1)) in found
+    assert "maurer-cartan" not in {kind for kind, _ in found}
 
 
 def test_validate_rejects_cycles(P):
@@ -161,7 +166,7 @@ def test_hom_complex_of_cores(P):
     q0, q1 = single_core(P, 0), single_core(P, 1)
     h = hom_complex(q0, q0)
     assert h.dimensions() == {0: 1, P.n: 1}
-    assert all(m.is_zero() for m in h.differentials.values())
+    assert all(not v for m in h.differentials.values() for row in m.entries for v in row)
     assert hom_complex(q0, q1).dimensions() == {1: 1}
 
 
@@ -175,7 +180,7 @@ def test_hom_complex_differential_on_two_term_complex(P):
     q_gen = h.index[(0, 0, "q")]
     f_gen = h.index[(0, 1, "f1")]
     dm = h.differentials[0]
-    assert e_gen[0] == 0 and dm.entries == ((0,),) or dm.is_zero()
+    assert e_gen[0] == 0 and dm.entries == ((0,),) or not any(v for row in dm.entries for v in row)
     d_on_q = h.differentials[q_gen[0]]
     col = [d_on_q.entries[r][q_gen[1]] for r in range(d_on_q.rows)]
     assert col[f_gen[1]] == P.field.one  # q composes with p to the top class
@@ -197,6 +202,34 @@ def test_hf_ranks_of_cores(P):
     assert hf_ranks(q0, q1) == {1: 1}
     assert hf_ranks(q0, q0) == {0: 1, P.n: 1}
     assert hf_ranks(q1, q1) == {0: 1, P.n: 1}
+
+
+def test_hom_layer_names_a_summand_off_the_two_cores():
+    P = make_params(3)
+    q0, q2 = single_core(P, 0), single_core(P, 2)
+    for call, side in ((lambda: hf_ranks(q2, q2), "source"), (lambda: equivalent(q2, q2), "source"),
+                       (lambda: hf_ranks(q0, q2), "target")):
+        with pytest.raises(ComplexError, match=f"{side} summand 0 is Q2@0"):
+            call()
+
+
+def test_hf_ranks_refuses_a_wrong_degree_entry():
+    # p has degree 1 but Q0@0 -> Q1@1 needs degree 0.
+    P = make_params(3)
+    c = TwistedComplex(P, [Summand(0, 0), Summand(1, 1)], {(0, 1): {"p": 1}})
+    assert [v.kind for v in validate(c)] == ["degree"]
+    for a, b in ((c, c), (c, single_core(P, 0)), (single_core(P, 1), c)):
+        with pytest.raises(ComplexError, match="not in degree"):
+            hf_ranks(a, b)
+
+
+def test_hf_ranks_refuses_negative_ranks_from_a_maurer_cartan_failure():
+    # delta^2 = q.p = f1 on Q1@1 -> Q1@0, so the hom differential does not square to zero.
+    P = make_params(3)
+    c = TwistedComplex(P, [Summand(1, 1), Summand(0, 0), Summand(1, 0)], {(0, 1): {"q": 1}, (1, 2): {"p": 1}})
+    assert [v.kind for v in validate(c)] == ["maurer-cartan"]
+    with pytest.raises(ValueError, match="negative rank"):
+        hf_ranks(c, c)
 
 
 # -- cones ------------------------------------------------------------------------------

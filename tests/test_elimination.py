@@ -1,8 +1,8 @@
 """
 Differential tests of the sparse elimination core.
 
-Matrix.rank and rref, the Echelon underneath them (its relations as kernels,
-reduce as a solver), graded_ranks and covers.fibre_rank are compared with a
+Row ranks from Echelon, Matrix.rref and det_nonzero, the Echelon (its
+relations as kernels, reduce as a solver), graded_ranks and covers.fibre_rank are compared with a
 naive dense Gauss-Jordan elimination written here, over F_2, F_5, F_32003
 and Q, on random sparse and dense matrices including 0-row and 0-column
 shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
@@ -13,6 +13,7 @@ generator computed by Morphism.differential.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
@@ -21,7 +22,7 @@ from plumbtwist.covers import fibre_rank
 from plumbtwist.linalg import Echelon, Field, Matrix, graded_ranks
 from plumbtwist.twists import LETTERS, apply_braid
 
-from conftest import apply_matrix, kernel_of, random_word, solve_with
+from conftest import apply_matrix, kernel_of, random_word, rank_of, solve_with
 
 CHARACTERISTICS = (2, 5, 32003, 0)
 
@@ -103,7 +104,7 @@ def matrices(draw):
 def test_rank_rref_and_kernel_match_reference(case):
     field, m, _ = case
     red, pivots = reference_rref(field, m.entries, m.cols)
-    assert m.rank() == len(pivots)
+    assert rank_of(field, m.entries) == len(pivots)
     if m.rows == m.cols:
         assert m.det_nonzero() == (len(pivots) == m.rows)
     assert kernel_of(field, m.entries, m.cols) == reference_kernel(field, m.entries, m.cols)
@@ -150,14 +151,22 @@ def test_empty_shapes():
     for c in CHARACTERISTICS:
         f = Field(c)
         no_rows = Matrix(f, [], cols=3)
-        assert no_rows.rank() == 0
+        assert (no_rows.rows, no_rows.cols) == (0, 3) and rank_of(f, no_rows.entries) == 0
+        assert no_rows.rref() == (no_rows, [])
         assert kernel_of(f, [], 3) == [[f.one if i == j else f.zero for i in range(3)] for j in range(3)]
         assert solve_with(f, [], 3, []) == [f.zero] * 3
         no_cols = Matrix(f, [[], []], cols=0)
-        assert no_cols.rank() == 0 and kernel_of(f, [[], []], 0) == []
+        assert (no_cols.rows, no_cols.cols) == (2, 0) and rank_of(f, no_cols.entries) == 0
+        assert no_cols.rref() == (no_cols, []) and kernel_of(f, [[], []], 0) == []
         assert solve_with(f, [[], []], 0, [f.zero, f.zero]) == []
         assert solve_with(f, [[], []], 0, [f.one, f.zero]) is None
         assert graded_ranks(f, {0: 0, 1: 2}, {0: [], 1: [{}, {}]}) == {1: 2}
+
+
+def test_graded_ranks_refuses_a_differential_that_does_not_square_to_zero():
+    # 0 -> 1 -> 2, each map an isomorphism of lines: D.D != 0 and degree 1 would have rank -1.
+    with pytest.raises(ValueError, match="negative rank -1 in degree 1"):
+        graded_ranks(Field(5), {0: 1, 1: 1, 2: 1}, {0: [{0: 1}], 1: [{0: 1}]})
 
 
 # -- graded ranks against the reference ---------------------------------------------------------

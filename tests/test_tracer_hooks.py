@@ -37,6 +37,10 @@ def test_span_recorder_hooks_fire():
         recorder.uninstall()
     counts = recorder.counts
     assert counts["complexes.hom_builds"] > 0
+    # matrix_build_cells and hom_nonzeros are read off the dense Matrix view.
+    assert counts["linalg.matrix_build_cells"] > 0
+    assert counts["complexes.hom_gens"] > 0
+    assert counts["complexes.hom_nonzeros"] > 0
     assert counts["twists.twist_calls"] > 0
     assert counts["complexes.oracle_candidates"] > 0
     assert counts["complexes.oracle_cones"] > 0
