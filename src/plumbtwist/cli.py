@@ -234,6 +234,8 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return {"feasibility": report.to_dict()}, OK
 
     if cmd == "rank-table":
+        if args.k < 0:
+            raise CliFailure(USAGE, "usage-error", f"--k must be a non-negative integer, got {args.k}")
         params = _params_from_args(args)
         q0 = single_core(params, 0)
         lines = ["k,total_rank"]
@@ -244,6 +246,9 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return "\n".join(lines) + "\n", OK
 
     if cmd == "orbit-witness":
+        if args.max_length < 0:
+            raise CliFailure(USAGE, "usage-error",
+                             f"--max-length must be a non-negative integer, got {args.max_length}")
         params = _params_from_args(args)
         if params.resolved_betti0() != spherical_betti(params.n):
             raise CliFailure(USAGE, "usage-error", "the orbit search needs spherical cores (drop --betti0)")

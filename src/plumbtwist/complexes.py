@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Echelon, Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations
+from .linalg import Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations, kernel_basis
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -310,11 +310,11 @@ class HomComplex:
     deg(basis) - pos(i) + pos(j) = g; the differential is
     D(f) = delta_d . f - (-1)^g f . delta_c, checked to square to zero.
     It is held sparse: columns[g][k] is the image of generator k of degree g
-    as {index in degree g+1: coefficient}. Ranks, kernels and cocycle
-    representatives come from eliminating those columns with linalg.Echelon,
-    and are sparse vectors over the generators of one degree; morphism turns
-    such a vector into a Morphism, the one place that reads the generator
-    layout. differentials is a dense Matrix view that nothing in the library
+    as {index in degree g+1: coefficient}. Ranks and coboundaries come from
+    eliminating those columns with linalg.Echelon, kernels from eliminating
+    their transpose (linalg.kernel_basis). All are sparse vectors over the
+    generators of one degree; morphism turns such a vector into a Morphism,
+    the one place that reads the generator layout. differentials is a dense Matrix view that nothing in the library
     reads: the traced benchmark counts nonzeros and cells on it.
 
     An optional window of degrees builds only what D out of those degrees
@@ -400,12 +400,6 @@ class HomComplex:
             out[g] = Matrix(field, mat, cols=len(cols))
         return out
 
-    def _echelon(self, g: int, track: bool = False) -> Echelon:
-        """The columns of D out of degree g, eliminated; with track, relations are its kernel basis."""
-        if self.window is not None and g not in self.window:
-            raise ValueError(f"degree {g} is outside this hom complex's window {sorted(self.window)}")
-        return echelon_of(self.params.field, self.columns.get(g, ()), track)
-
     def _require_whole(self, what: str) -> None:
         if self.window is not None:
             raise ValueError(f"{what} needs every degree; this hom complex has the window {sorted(self.window)}")
@@ -419,30 +413,28 @@ class HomComplex:
 
     def kernel(self, g: int) -> list[Vector]:
         """The canonical kernel basis of D out of degree g, as sparse vectors."""
-        return self._echelon(g, track=True).relations
+        if self.window is not None and g not in self.window:
+            raise ValueError(f"degree {g} is outside this hom complex's window {sorted(self.window)}")
+        return kernel_basis(self.params.field, self.columns.get(g, []))
 
     def cocycle_representatives(self) -> dict[int, list[Vector]]:
         """
         A deterministic cocycle basis of cohomology per degree, in increasing
         degree: the kernel basis vectors, in order, that are independent
         modulo the coboundaries and those already chosen, as sparse vectors
-        over the generators of their degree. Each degree is eliminated once:
-        its tracked echelon gives the kernel, and its rows, the same as
-        untracked ones, span the coboundaries of the next degree.
+        over the generators of their degree. As D . D = 0, the coboundaries
+        lie in the kernel, where a vector's largest index is always a free
+        column; a kernel vector is kept unless its free column is the largest
+        index of some coboundary, a pivot of their echelon on reversed indices.
         """
         self._require_whole("cocycle_representatives")
         field = self.params.field
         reps: dict[int, list[Vector]] = {}
-        below, below_degree = None, None
         for g in self.components:
-            ech = self._echelon(g, track=True)
-            span = Echelon(field)
-            if below_degree == g - 1:
-                span.rows = dict(below.rows)  # insert adds rows but never changes one
-            chosen = [vec for vec in ech.relations if span.insert(vec)]
+            top = echelon_of(field, ({-k: x for k, x in col.items()} for col in self.columns.get(g - 1, []))).rows
+            chosen = [vec for vec in self.kernel(g) if -max(vec) not in top]
             if chosen:
                 reps[g] = chosen
-            below, below_degree = ech, g
         return reps
 
     def morphism(self, g: int, vec: Vector) -> Morphism:

@@ -9,8 +9,8 @@ this package.
 Vectors are sparse {key: value} dicts with no zero values, and axpy is the
 one in-place accumulate on them. All elimination runs on one routine,
 Echelon: sparse rows in echelon form, each led by its smallest index with
-value one. It optionally tracks which inserted vectors each row combines,
-which yields kernels. graded_ranks turns the sparse columns of a graded
+value one. kernel_basis reads kernels off the reduced echelon form of the
+transposed columns. graded_ranks turns the sparse columns of a graded
 differential into cohomology ranks (hom complexes, the cotangent-fibre
 pairing), and invertible_combinations samples an affine family of sparse
 square blocks for invertible members (the quasi-isomorphism oracle): the
@@ -156,31 +156,22 @@ class Echelon:
 
     Rows are {index: value} dicts keyed by their pivot, the smallest index
     present, where the value is one; len() is the rank of everything inserted.
-    With track=True each row also carries its combination of the inserted
-    vectors, keyed by insertion order. An inserted vector that reduces to zero
-    then leaves a relation (coefficient one on itself, the rest on earlier
-    independent vectors). When the inserted vectors are the columns of a
-    matrix, the relations are its canonical kernel basis: identity on the free
-    columns, the greedy leftmost independent columns as pivots.
     """
 
-    __slots__ = ("field", "rows", "combos", "relations", "count")
+    __slots__ = ("field", "rows")
 
-    def __init__(self, field: Field, track: bool = False):
+    def __init__(self, field: Field):
         self.field = field
         self.rows: dict[int, Vector] = {}
-        self.combos: dict[int, Vector] | None = {} if track else None
-        self.relations: list[Vector] = []
-        self.count = 0
 
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, vec: Vector, combo: Vector | None = None) -> tuple[Vector, Vector | None]:
-        """vec reduced against the rows, and combo (a copy) minus the combinations used."""
-        rows, p = self.rows, self.field.characteristic
+    def insert(self, vec: Vector) -> bool:
+        """Add vec; True when it was independent of the rows (and is now one)."""
+        f, rows = self.field, self.rows
+        p = f.characteristic
         v = dict(vec)
-        combo = dict(combo) if combo is not None else None
         heap = [k for k in v if k in rows]
         heapify(heap)
         while heap:
@@ -190,39 +181,53 @@ class Echelon:
                 continue
             # Rows are led by their pivot, so this only touches larger indices.
             axpy(v, rows[c], -a, p, rows, heap)
-            if combo is not None:
-                axpy(combo, self.combos[c], -a, p)
-        return v, combo
-
-    def insert(self, vec: Vector) -> bool:
-        """Add vec; True when it was independent of the rows (and is now one)."""
-        f = self.field
-        tracked = self.combos is not None
-        v, combo = self.reduce(vec, {self.count: f.one} if tracked else None)
-        self.count += 1
         if not v:
-            if tracked:
-                self.relations.append(combo)
             return False
         pivot = min(v)
         a = v[pivot]
         if a != 1:
             inv = f.inv(a)
             v = {k: f.mul(x, inv) for k, x in v.items()}
-            if tracked:
-                combo = {k: f.mul(x, inv) for k, x in combo.items()}
-        self.rows[pivot] = v
-        if tracked:
-            self.combos[pivot] = combo
+        rows[pivot] = v
         return True
 
+    def reduced(self) -> "Echelon":
+        """Back-substitute in place so no row has a nonzero at another's pivot; returns self.
+        From the last pivot up, so each row subtracted is already reduced."""
+        rows, p = self.rows, self.field.characteristic
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            for c2 in [k for k in row if k != c and k in rows]:
+                axpy(row, rows[c2], -row[c2], p)
+        return self
 
-def echelon_of(field: Field, vectors: Iterable[Vector], track: bool = False) -> Echelon:
+
+def echelon_of(field: Field, vectors: Iterable[Vector]) -> Echelon:
     """An Echelon with every vector inserted, in order."""
-    ech = Echelon(field, track)
+    ech = Echelon(field)
     for vec in vectors:
         ech.insert(vec)
     return ech
+
+
+def kernel_basis(field: Field, columns: Sequence[Vector]) -> list[Vector]:
+    """
+    The canonical kernel basis of the matrix with these sparse columns: per
+    free column f, increasing, {f: 1} and -row_q[f] at each pivot q of the
+    reduced row echelon form, whose pivots are the greedy leftmost
+    independent columns.
+    """
+    transposed: dict[int, Vector] = {}
+    for k, col in enumerate(columns):
+        for r, x in col.items():
+            transposed.setdefault(r, {})[k] = x
+    rows = echelon_of(field, transposed.values()).reduced().rows
+    basis = {f: {f: field.one} for f in range(len(columns)) if f not in rows}
+    for q in sorted(rows):
+        for f, x in rows[q].items():
+            if f != q:
+                basis[f][q] = field.neg(x)
+    return list(basis.values())
 
 
 def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence[Vector]]) -> dict[int, int]:
@@ -272,14 +277,8 @@ class Matrix:
         f = self.field
         if self.rows == 0 or self.cols == 0:
             return self, []
-        rows = echelon_of(f, self._row_vectors()).rows
+        rows = echelon_of(f, self._row_vectors()).reduced().rows
         pivots = sorted(rows)
-        p = f.characteristic
-        # Back-substitute from the last pivot up, so each row subtracted is already reduced.
-        for c in reversed(pivots):
-            row = rows[c]
-            for c2 in [k for k in row if k != c and k in rows]:
-                axpy(row, rows[c2], -row[c2], p)
         out = [[rows[c].get(k, f.zero) for k in range(self.cols)] for c in pivots]
         out += [[f.zero] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix(f, out), pivots

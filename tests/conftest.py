@@ -4,7 +4,7 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
-from plumbtwist.linalg import echelon_of
+from plumbtwist.linalg import echelon_of, kernel_basis
 from plumbtwist.twists import LETTERS, apply_braid
 
 
@@ -29,7 +29,7 @@ def braid_corpus(n: int, count: int, max_len: int, seed: int):
     return params, q0, out
 
 
-# -- dense linear algebra on top of linalg.Echelon -----------------------------------------
+# -- dense linear algebra on top of linalg's elimination--------------------------------------
 
 
 def dense(field, vec, size):
@@ -51,18 +51,20 @@ def columns_of(entries, ncols):
 
 
 def kernel_of(field, entries, ncols):
-    """The canonical kernel basis of a dense matrix: the relations of its column echelon."""
-    ech = echelon_of(field, columns_of(entries, ncols), track=True)
-    return [dense(field, vec, ncols) for vec in ech.relations]
+    """The canonical kernel basis of a dense matrix, from linalg.kernel_basis on its columns."""
+    return [dense(field, vec, ncols) for vec in kernel_basis(field, columns_of(entries, ncols))]
 
 
 def solve_with(field, entries, ncols, b):
-    """Some x with Mx = b (zero off the pivot columns) from Echelon.reduce, or None when inconsistent."""
-    ech = echelon_of(field, columns_of(entries, ncols), track=True)
-    rest, combo = ech.reduce({r: v for r, v in enumerate(b) if v}, {})
-    if rest:
+    """
+    Some x with Mx = b (zero off the pivot columns), or None when inconsistent:
+    the kernel vector of [M | b] whose free column is b, negated. b has one
+    exactly when it is not a pivot column, and it is then the last vector.
+    """
+    basis = kernel_basis(field, columns_of(entries, ncols) + [{r: v for r, v in enumerate(b) if v}])
+    if not basis or ncols not in basis[-1]:
         return None
-    return dense(field, {k: field.neg(v) for k, v in combo.items()}, ncols)
+    return dense(field, {k: field.neg(v) for k, v in basis[-1].items() if k != ncols}, ncols)
 
 
 def apply_matrix(field, entries, x):

@@ -415,6 +415,14 @@ def test_cli_orbit_witness_search_exhausted(capsys, length):
     assert f"length <= {length}" in out["detail"]
 
 
+@pytest.mark.parametrize("argv", [["rank-table", "--k", "-3"], ["orbit-witness", "--max-length", "-2"]])
+def test_cli_refuses_negative_counts(capsys, argv):
+    assert main(["--n", "3", *argv]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "usage-error"
+    assert f"{argv[1]} must be a non-negative integer, got {argv[2]}" == out["detail"]
+
+
 def test_cli_refuses_absurd_n(tmp_path, capsys):
     f = tmp_path / "big.json"
     f.write_text(json.dumps({"n": MAX_N + 1, "char": 2, "summands": [], "differential": []}))

@@ -1,9 +1,10 @@
 """
 Differential tests of the sparse elimination core.
 
-Row ranks from Echelon, Matrix.rref and det_nonzero, the Echelon (its
-relations as kernels, reduce as a solver), graded_ranks and covers.fibre_rank are compared with a
-naive dense Gauss-Jordan elimination written here, over F_2, F_5, F_32003
+Row ranks and column pivots from Echelon, Matrix.rref and det_nonzero,
+kernel_basis (also as a solver: the kernel of [M | b]), graded_ranks and
+covers.fibre_rank are compared with a naive dense Gauss-Jordan elimination
+written here, over F_2, F_5, F_32003
 and Q, on random sparse and dense matrices including 0-row and 0-column
 shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
 The sparse hom-complex columns are compared with the differential of each
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from plumbtwist.category import make_params
 from plumbtwist.complexes import Morphism, Summand, TwistedComplex, hom_complex, single_core
 from plumbtwist.covers import fibre_rank
-from plumbtwist.linalg import Echelon, Field, Matrix, graded_ranks
+from plumbtwist.linalg import Echelon, Field, Matrix, graded_ranks, kernel_basis
 from plumbtwist.twists import LETTERS, apply_braid
 
 from conftest import apply_matrix, kernel_of, random_word, rank_of, solve_with
@@ -128,18 +129,16 @@ def test_solve_matches_reference(case):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_echelon_relations_are_the_column_kernel(case):
+def test_column_pivots_and_kernel_basis_match_reference(case):
     field, m, _ = case
-    ech = Echelon(field, track=True)
-    independent = []
-    for k in range(m.cols):
-        if ech.insert({r: m.entries[r][k] for r in range(m.rows) if m.entries[r][k]}):
-            independent.append(k)
+    columns = [{r: m.entries[r][k] for r in range(m.rows) if m.entries[r][k]} for k in range(m.cols)]
+    ech = Echelon(field)
+    independent = [k for k, col in enumerate(columns) if ech.insert(col)]
     _, pivots = reference_rref(field, m.entries, m.cols)
     assert independent == pivots
     assert len(ech) == len(pivots)
     dense = []
-    for vec in ech.relations:
+    for vec in kernel_basis(field, columns):
         row = [field.zero] * m.cols
         for k, v in vec.items():
             row[k] = v

@@ -6,7 +6,9 @@ errors, and must give back every complex it serialized. Cancelling a
 contractible summand must give back the minimal model, and the lengths and
 ranks of the braid images of a core must be the same over F_2, F_32003 and
 Q. A hom complex built for the degree-0 window must have the full hom's
-kernel out of degree 0, and the quasi-isomorphism oracle must be symmetric.
+kernel out of degree 0, its cocycle representatives must be closed, as many
+as the cohomology ranks and independent modulo the coboundaries, and the
+quasi-isomorphism oracle must be symmetric.
 The alternating braid words must follow their Fibonacci closed forms from
 any shifted core, with the complex re-gauged before every twist.
 """
@@ -32,6 +34,7 @@ from plumbtwist.complexes import (
     single_core,
 )
 from plumbtwist.covers import CoverSpec, specialize
+from plumbtwist.linalg import echelon_of
 from plumbtwist.serialize import DocumentError, ValidationRejection, parse_complex, serialize_complex
 from plumbtwist.twists import LETTERS, BraidLetter, apply_braid, apply_letter
 
@@ -153,6 +156,23 @@ def test_windowed_kernel_matches_full_kernel(data, characteristic):
     c = data.draw(complexes(params))
     d = c if data.draw(st.booleans()) else data.draw(complexes(params))
     assert hom_complex(c, d, degrees={0}).kernel(0) == hom_complex(c, d).kernel(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CHARACTERISTICS))
+def test_cocycle_representatives_are_a_cohomology_basis(data, characteristic):
+    params = make_params(3, characteristic)
+    field = params.field
+    c = data.draw(complexes(params))
+    d = c if data.draw(st.booleans()) else data.draw(complexes(params))
+    hom = hom_complex(c, d)
+    reps = hom.cocycle_representatives()
+    assert {g: len(vecs) for g, vecs in reps.items()} == hom.cohomology_ranks()
+    for g, vecs in reps.items():
+        for vec in vecs:
+            assert not hom.morphism(g, vec).differential().comps
+        coboundaries = hom.columns.get(g - 1, [])
+        assert len(echelon_of(field, coboundaries + vecs)) == len(echelon_of(field, coboundaries)) + len(vecs)
 
 
 @settings(max_examples=40, deadline=None)
