@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import MAX_CHARACTERISTIC, Field, is_prime
+from .linalg import MAX_CHARACTERISTIC, Field, axpy, is_prime
 
 
 class ParameterError(ValueError):
@@ -66,6 +66,10 @@ class CategoryParams:
 # The cores' dimension n costs time and memory linearly (Betti vectors, degree
 # ranges), and no computation needs it anywhere near this large.
 MAX_N = 10_000
+# Category builds one basis morphism per interior class of Q0: well under a
+# second for this many, but seconds to minutes and gigabytes for the millions
+# a 100-byte document can ask for.
+MAX_BETTI = 10_000
 
 
 def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
@@ -90,6 +94,8 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
                 problems.append(f"betti vector needs b^0 = b^n = 1 (got b^0={b[0]}, b^n={b[n]})")
             elif any(b[d] != b[n - d] for d in range(n + 1)):
                 problems.append("betti vector must be palindromic (duality pairs degree d with n-d)")
+            elif sum(b[1:n]) > MAX_BETTI:
+                problems.append(f"betti vector's interior entries must total at most {MAX_BETTI} (got {sum(b[1:n])})")
     return problems
 
 
@@ -165,24 +171,15 @@ class Category:
         return self._table.get((g, f))
 
     def compose(self, g: dict[str, object], f: dict[str, object]) -> dict[str, object]:
-        """Bilinear extension of compose_names on {name: coefficient} combos."""
-        fld = self.params.field
+        """Bilinear extension of compose_names on {name: coefficient} combos; every
+        term is added with linalg.axpy, so the result stores no zeros."""
+        p = self.params.field.characteristic
         out: dict[str, object] = {}
         for gn, gc in g.items():
-            if not gc:
-                continue
             for fn, fc in f.items():
-                if not fc:
-                    continue
                 hit = self.compose_names(gn, fn)
-                if hit is None:
-                    continue
-                name = hit[0]  # every composite has coefficient 1
-                acc = fld.add(out.get(name, fld.zero), fld.mul(gc, fc))
-                if acc:
-                    out[name] = acc
-                elif name in out:
-                    del out[name]
+                if hit is not None:  # every composite has coefficient 1
+                    axpy(out, {hit[0]: fc}, gc, p)
         return out
 
 

@@ -25,8 +25,8 @@ endomorphism algebra of Q_v^m (degrees 0 and n) over to c: accepting a
 certificate already proves c admissible, and hf(c, c), quadratic in the
 length of c, is computed only when the reduction or the verification fails.
 It then tells an inadmissible input (InadmissibleInput) from a genuine
-failure on an admissible one (the original error). The cx + 4 step budget
-bounds the attempt on any input.
+failure on an admissible one (the original error). A step returns only
+when it lowers cx, so the attempt takes at most cx steps on any input.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class ComplexityNotReduced(NormalizeError):
 
 class NormalizerDeadEnd(NormalizeError):
     """The case dichotomy failed on a concrete complex. Reportable finding."""
-
-
-class IterationLimit(NormalizeError):
-    pass
 
 
 class CertificateError(NormalizeError):
@@ -348,16 +344,14 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
 
 
 def _certify(c: TwistedComplex, structural_checks: bool) -> Certificate:
-    """The reduction within its step budget, then the replayed certificate."""
+    """The reduction, each step of which lowers cx, then the replayed certificate."""
     work, _ = shift_normalized(minimize(c))
     trace: list[TraceEntry] = []
-    budget = complexity(work).cx + 4
-    while not work.is_empty and complexity(work).cx > 0:
-        if len(trace) >= budget:
-            raise IterationLimit(f"no convergence within {budget} steps; cx should have forced termination")
+    cx = 0 if work.is_empty else complexity(work).cx
+    while cx > 0:
         step = reduction_step(work, structural_checks=structural_checks)
         trace.append(TraceEntry(step.letters, step.case, step.cx_before, step.cx_after))
-        work = step.result
+        work, cx = step.result, step.cx_after
     if work.is_empty:
         raise NormalizerDeadEnd("complex collapsed to zero during reduction")
 

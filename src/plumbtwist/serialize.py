@@ -17,6 +17,7 @@ import re
 
 from .category import CategoryParams, ParameterError, make_params
 from .complexes import Summand, TwistedComplex, Violation, validate
+from .linalg import axpy
 
 
 class DocumentError(ValueError):
@@ -117,8 +118,7 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"differential entry {k}: bad coefficient {coeff!r}: {exc}") from exc
         if value:
-            slot = delta.setdefault((i, j), {})
-            slot[basis] = field.add(slot.get(basis, field.zero), value)
+            axpy(delta.setdefault((i, j), {}), {basis: value}, 1, field.characteristic)
     c = TwistedComplex(params, summands, delta)
     bad = validate(c)
     if bad:

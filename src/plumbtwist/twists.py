@@ -85,7 +85,7 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
         raise ValueError(f"twist vertex must be 0 or 1, got {vertex}")
     forward = power == 1
     core = single_core(c.params, vertex)
-    hom = hom_complex(core, c, check=False) if forward else hom_complex(c, core, check=False)
+    hom = hom_complex(core, c) if forward else hom_complex(c, core)
     summands: list[Summand] = []
     comps: dict[tuple[int, int], dict] = {}
     for g, reps in hom.cocycle_representatives().items():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, ParameterError, category_for, make_params, validate_params
@@ -72,6 +74,26 @@ def test_associativity_exhaustive(catname, request):
                 left = cat.compose({h.name: field.one}, gf)
                 right = cat.compose(hg, {f.name: field.one})
                 assert left == right, (h.name, g.name, f.name)
+
+
+NONZERO = {2: ["1"], 32003: ["1", "2", "-1"], 0: ["1", "2", "-1", "1/2"]}
+
+
+@pytest.mark.parametrize("characteristic", [2, 32003, 0])
+def test_compose_sums_terms_and_drops_zeros(characteristic):
+    # (a e0 + b x2) . (c f0 + d x2) = (ac + bd) f0 + ad x2, as x2 . f0 vanishes; a zero f0 is absent.
+    cat = category_for(make_params(4, characteristic, (1, 0, 1, 0, 1)))
+    field = cat.params.field
+    values = [field.element(v) for v in NONZERO[characteristic]]
+    cancelled = 0
+    for a, b, c, d in itertools.product(values, repeat=4):
+        top = (a * c + b * d) % characteristic if characteristic else a * c + b * d
+        want = {"x2": a * d % characteristic if characteristic else a * d}
+        if top:
+            want["f0"] = top
+        cancelled += not top
+        assert cat.compose({"e0": a, "x2": b}, {"f0": c, "x2": d}) == want
+    assert cancelled
 
 
 def test_degree_additivity_and_range(cat4_cp2):

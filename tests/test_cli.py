@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, make_params
+import plumbtwist
+from plumbtwist import category
+from plumbtwist.category import MAX_BETTI, MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
-from plumbtwist.complexes import Summand, TwistedComplex, direct_sum, single_core
+from plumbtwist.complexes import Summand, TwistedComplex, direct_sum, single_core, validate
 from plumbtwist.serialize import (
     DocumentError,
     ValidationRejection,
@@ -32,10 +35,14 @@ OBSTRUCTED = json.dumps({
 })
 
 
+# Child processes import the package the tests import, installed or not.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plumbtwist.__file__)))
+
+
 def run_cli(*args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "plumbtwist.cli", *args],
-        capture_output=True, text=True, input=stdin,
+        capture_output=True, text=True, input=stdin, env=CHILD_ENV,
     )
     return proc
 
@@ -86,6 +93,18 @@ def test_rational_coefficients_round_trip():
     doc = complex_to_dict(c)
     assert doc["differential"][0]["coeff"] == "3/7"
     assert parse_complex(json.dumps(doc)).delta == c.delta
+
+
+@pytest.mark.parametrize("characteristic, summed", [(32003, "2"), (0, "2"), (2, None)])
+def test_duplicate_records_add(characteristic, summed):
+    # Two records for one slot and basis add up; over F_2 they cancel and the slot disappears.
+    entry = {"from": 0, "to": 1, "basis": "p", "coeff": "1"}
+    doc = json.dumps({"n": 3, "char": characteristic, "summands": [{"vertex": 0, "position": 0},
+                      {"vertex": 1, "position": 0}], "differential": [entry, entry]})
+    c = parse_complex(doc)
+    assert validate(c) == []
+    want = [] if summed is None else [dict(entry, coeff=summed)]
+    assert json.loads(serialize_complex(c))["differential"] == want
 
 
 def _hostile(**override):
@@ -390,7 +409,7 @@ def test_cli_hostile_document_is_schema_error(tmp_path, name):
 
 def test_cli_import_leaves_numpy_out():
     probe = "import sys, plumbtwist.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -449,3 +468,38 @@ def test_cli_refuses_huge_characteristic(tmp_path, capsys):
     assert main(["--char", str(2**61 - 1), "rank-table", "--k", "1"]) == 2
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert out["error"] == "usage-error" and f"at most {MAX_CHARACTERISTIC}" in out["detail"]
+
+
+# n = 4 Betti vectors whose interior entries total MAX_BETTI and one more.
+AT_BETTI_BOUND = (1, 1, MAX_BETTI - 2, 1, 1)
+OVER_BETTI_BOUND = (1, 1, MAX_BETTI - 1, 1, 1)
+
+
+def _betti_run(tmp_path, capsys, betti0):
+    """validate on a one-summand document with this betti0, then rank-table --k 0 with it as --betti0."""
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"n": 4, "char": 32003, "betti0": list(betti0),
+                             "summands": [{"vertex": 0, "position": 0}], "differential": []}))
+    codes = [main(["validate", "--in", str(f)])]
+    outs = [json.loads(capsys.readouterr().out)["outputs"]]
+    codes.append(main(["--n", "4", "--betti0", ",".join(map(str, betti0)), "rank-table", "--k", "0"]))
+    outs.append(capsys.readouterr().out)
+    return codes, outs
+
+
+def test_cli_accepts_betti_at_the_bound(tmp_path, capsys):
+    codes, outs = _betti_run(tmp_path, capsys, AT_BETTI_BOUND)
+    assert codes == [0, 0]
+    assert outs == [{"ok": True, "violations": []}, "k,total_rank\n"]
+
+
+def test_cli_refuses_betti_over_the_bound_before_any_category(tmp_path, capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError("a Category was built")
+
+    monkeypatch.setattr(category, "Category", refuse)
+    codes, outs = _betti_run(tmp_path, capsys, OVER_BETTI_BOUND)
+    assert codes == [2, 2]
+    refused = [outs[0], json.loads(outs[1])["outputs"]]
+    assert [out["error"] for out in refused] == ["schema-error", "usage-error"]
+    assert all(f"total at most {MAX_BETTI} (got {MAX_BETTI + 1})" in out["detail"] for out in refused)

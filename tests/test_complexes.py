@@ -366,7 +366,7 @@ def test_cone_euler_characteristic_additivity(P):
     for _ in range(14):
         c = apply_braid(random_word(rng, 3), q0)
         d = apply_braid(random_word(rng, 3), q0)
-        h = hom_complex(c, d, check=False)
+        h = hom_complex(c, d)
         for vec in h.kernel(0)[:2]:
             cn = cone(h.morphism(0, vec))
             for probe in (q0, q1):

@@ -5,10 +5,11 @@ Parsing must turn any JSON into a complex or into one of its two documented
 errors, and must give back every complex it serialized. Cancelling a
 contractible summand must give back the minimal model, and the lengths and
 ranks of the braid images of a core must be the same over F_2, F_32003 and
-Q. A hom complex built for the degree-0 window must have the full hom's
-kernel out of degree 0, its cocycle representatives must be closed, as many
-as the cohomology ranks and independent modulo the coboundaries, and the
-quasi-isomorphism oracle must be symmetric.
+Q. A hom complex's differential must square to zero, checked by multiplying
+its columns out here. One built for the degree-0 window must have the full
+hom's kernel out of degree 0, its cocycle representatives must be closed,
+as many as the cohomology ranks and independent modulo the coboundaries,
+and the quasi-isomorphism oracle must be symmetric.
 The alternating braid words must follow their Fibonacci closed forms from
 any shifted core, with the complex re-gauged before every twist.
 """
@@ -156,6 +157,22 @@ def test_windowed_kernel_matches_full_kernel(data, characteristic):
     c = data.draw(complexes(params))
     d = c if data.draw(st.booleans()) else data.draw(complexes(params))
     assert hom_complex(c, d, degrees={0}).kernel(0) == hom_complex(c, d).kernel(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CHARACTERISTICS))
+def test_hom_differential_squares_to_zero(data, characteristic):
+    # Every column of D out of degree g, pushed through D out of degree g + 1, multiplied out here.
+    c = data.draw(complexes(make_params(3, characteristic)))
+    d = c if data.draw(st.booleans()) else data.draw(complexes(c.params))
+    columns = hom_complex(c, d).columns
+    for g, cols in columns.items():
+        for col in cols:
+            image = {}
+            for r, x in col.items():
+                for s, y in columns[g + 1][r].items():
+                    image[s] = image.get(s, 0) + x * y
+            assert all((v % characteristic if characteristic else v) == 0 for v in image.values())
 
 
 @settings(max_examples=60, deadline=None)
