@@ -19,21 +19,21 @@ twisted complex is plain matrix squaring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .linalg import MAX_CHARACTERISTIC, Field, axpy, is_prime
+from .linalg import MAX_CHARACTERISTIC, Field, Immutable, axpy, is_prime
 
 
 class ParameterError(ValueError):
     """A rejected CategoryParams, with a human-readable reason."""
 
 
-@dataclass(frozen=True)
-class BasisMorphism:
-    name: str
-    source: int
-    target: int
-    degree: int
+class BasisMorphism(Immutable):
+    """One basis morphism Q_source -> Q_target of the given degree; compared by identity."""
+
+    def __init__(self, name: str, source: int, target: int, degree: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "degree", degree)
 
     def __repr__(self):
         return f"{self.name}:{self.source}->{self.target}[{self.degree}]"
@@ -47,13 +47,27 @@ def _intermediate_name(degree: int, index: int, count: int) -> str:
     return f"x{degree}" if count == 1 else f"x{degree}.{index + 1}"
 
 
-@dataclass(frozen=True)
-class CategoryParams:
-    """Validated parameters: dimension n >= 3, coefficient field, Betti vector of Q0."""
+class CategoryParams(Immutable):
+    """
+    Validated parameters: dimension n >= 3, coefficient field, Betti vector
+    of Q0. Equal and hashed like the tuple (n, field, betti0).
+    """
 
-    n: int
-    field: Field = dc_field(default_factory=Field)
-    betti0: tuple[int, ...] | None = None
+    def __init__(self, n: int, field: Field | None = None, betti0: tuple[int, ...] | None = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "field", Field() if field is None else field)
+        object.__setattr__(self, "betti0", betti0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.field, self.betti0) == (other.n, other.field, other.betti0)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.field, self.betti0))
+
+    def __repr__(self):
+        return f"CategoryParams(n={self.n!r}, field={self.field!r}, betti0={self.betti0!r})"
 
     def resolved_betti0(self) -> tuple[int, ...]:
         return self.betti0 if self.betti0 is not None else spherical_betti(self.n)
@@ -81,14 +95,14 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
         problems.append(f"n must be at most {MAX_N} (got {n})")
     if characteristic > MAX_CHARACTERISTIC:
         problems.append(f"characteristic must be at most {MAX_CHARACTERISTIC} (got {characteristic})")
-    elif characteristic != 0 and not is_prime(characteristic):
+    elif isinstance(characteristic, bool) or characteristic != 0 and not is_prime(characteristic):
         problems.append(f"characteristic must be 0 or prime (got {characteristic})")
     if betti0 is not None and isinstance(n, int) and n >= 1:
         b = tuple(betti0)
         if len(b) != n + 1:
             problems.append(f"betti vector must have n+1 = {n + 1} entries (got {len(b)})")
         else:
-            if any((not isinstance(v, int)) or v < 0 for v in b):
+            if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in b):
                 problems.append("betti entries must be nonnegative integers")
             elif b[0] != 1 or b[n] != 1:
                 problems.append(f"betti vector needs b^0 = b^n = 1 (got b^0={b[0]}, b^n={b[n]})")

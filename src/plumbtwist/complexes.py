@@ -19,20 +19,29 @@ that square is the entire Maurer-Cartan equation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations, kernel_basis
+from .linalg import Immutable, Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations, kernel_basis
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
 
-@dataclass(frozen=True, order=True)
-class Summand:
-    vertex: int
-    position: int
+class Summand(Immutable):
+    """The core Q_vertex[-position]; equal and hashed like the tuple (vertex, position)."""
+
+    def __init__(self, vertex: int, position: int):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex, self.position) == (other.vertex, other.position)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex, self.position))
 
     def __repr__(self):
         return f"Q{self.vertex}@{self.position}"
@@ -42,8 +51,7 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "vertex", "degree", "triangularity", "maurer-cartan", "reach"
     slot: tuple[int, int] | None
     message: str
@@ -286,14 +294,17 @@ def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
 Gen = tuple[int, int, str]  # (source summand, target summand, basis name)
 
 
-@dataclass
 class Morphism:
     """A degree-homogeneous morphism of twisted complexes, as slot combos."""
 
-    source: TwistedComplex
-    target: TwistedComplex
-    degree: int
-    comps: dict[tuple[int, int], Combo] = dc_field(default_factory=dict)
+    __slots__ = ("source", "target", "degree", "comps")
+
+    def __init__(self, source: TwistedComplex, target: TwistedComplex, degree: int,
+                 comps: dict[tuple[int, int], Combo] | None = None):
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.comps = {} if comps is None else comps
 
     def differential(self) -> "Morphism":
         """D(f) = delta_target . f - (-1)^deg f . delta_source, two products of _compose_slots."""
@@ -317,8 +328,9 @@ class HomComplex:
     eliminating those columns with linalg.Echelon, kernels from eliminating
     their transpose (linalg.kernel_basis). All are sparse vectors over the
     generators of one degree; morphism turns such a vector into a Morphism,
-    the one place that reads the generator layout. differentials is a dense Matrix view that nothing in the library
-    reads: the traced benchmark counts nonzeros and cells on it.
+    the one place that reads the generator layout. differentials is a dense
+    Matrix view that nothing in the library reads: the traced benchmark
+    counts nonzeros and cells on it.
 
     An optional window of degrees builds only what D out of those degrees
     needs: the generators of the window's degrees and of their successors,

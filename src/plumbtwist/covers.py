@@ -20,7 +20,7 @@ cohomologies admit a categorical twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     TwistedComplex,
@@ -43,18 +43,22 @@ class CoverError(ValueError):
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    """A connected cover of one core: finite of the given index, or infinite."""
-
+class _CoverSpec(NamedTuple):
     covered_vertex: int
     index: int | str = INFINITE
 
-    def __post_init__(self):
-        if self.covered_vertex not in (0, 1):
-            raise CoverError(f"covered_vertex must be 0 or 1, got {self.covered_vertex}")
-        if self.index != INFINITE and (not isinstance(self.index, int) or self.index < 1):
-            raise CoverError(f"index must be a positive integer or '{INFINITE}', got {self.index!r}")
+
+class CoverSpec(_CoverSpec):
+    """A connected cover of one core: finite of the given index, or infinite."""
+
+    __slots__ = ()
+
+    def __new__(cls, covered_vertex: int, index: int | str = INFINITE):
+        if isinstance(covered_vertex, bool) or covered_vertex not in (0, 1):
+            raise CoverError(f"covered_vertex must be 0 or 1, got {covered_vertex}")
+        if index != INFINITE and (not isinstance(index, int) or isinstance(index, bool) or index < 1):
+            raise CoverError(f"index must be a positive integer or '{INFINITE}', got {index!r}")
+        return super().__new__(cls, covered_vertex, index)
 
     def compatible_with(self, characteristic: int) -> bool:
         if self.index == INFINITE:
@@ -142,18 +146,22 @@ def fibre_total(c: TwistedComplex, vertex: int) -> int:
 # -- Betti feasibility ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class _BettiVector(NamedTuple):
     numbers: tuple[int, ...]
 
-    def __post_init__(self):
-        b = self.numbers
+
+class BettiVector(_BettiVector):
+    __slots__ = ()
+
+    def __new__(cls, numbers: tuple[int, ...]):
+        b = numbers
         if len(b) < 2:
             raise CoverError("a Betti vector needs at least degrees 0 and n")
-        if any((not isinstance(v, int)) or v < 0 for v in b):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in b):
             raise CoverError("Betti numbers must be nonnegative integers")
         if b[0] != 1 or b[-1] != 1:
             raise CoverError(f"need b^0 = b^n = 1, got b^0={b[0]}, b^n={b[-1]}")
+        return super().__new__(cls, numbers)
 
     @property
     def n(self) -> int:
@@ -164,8 +172,7 @@ class BettiVector:
         return sum(self.numbers[1:-1])
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     betti: tuple[int, ...]
     beta: int
     feasible: bool
@@ -215,8 +222,7 @@ def truncation_feasibility(betti: BettiVector | tuple[int, ...]) -> FeasibilityR
 # -- rank bookkeeping on one-sphere complexes --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryRankReport:
+class BoundaryRankReport(NamedTuple):
     hf_against_core: dict[int, int]
     total_rank: int
     total_rank_is_two: bool

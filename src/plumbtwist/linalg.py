@@ -24,7 +24,6 @@ Echelon too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -54,18 +53,46 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Field:
-    """A prime field F_p (characteristic p) or the rationals (characteristic 0)."""
+class Immutable:
+    """
+    Base of the value types read in inner loops (Field, CategoryParams,
+    Summand, BasisMorphism): __init__ sets each attribute once with
+    object.__setattr__, and nothing can assign or delete one afterwards.
+    """
 
-    characteristic: int = DEFAULT_PRIME
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Field(Immutable):
+    """
+    A prime field F_p (characteristic p) or the rationals (characteristic 0),
+    equal and hashed like the tuple (characteristic,).
+    """
+
+    def __init__(self, characteristic: int = DEFAULT_PRIME):
+        c = characteristic
         if c > MAX_CHARACTERISTIC:
             raise FieldError(f"characteristic must be at most {MAX_CHARACTERISTIC}, got {c}")
-        if c != 0 and not is_prime(c):
+        if isinstance(c, bool) or c != 0 and not is_prime(c):
             raise FieldError(f"characteristic must be 0 or prime, got {c}")
+        object.__setattr__(self, "characteristic", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.characteristic == other.characteristic
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"Field(characteristic={self.characteristic!r})"
 
     # -- element construction ------------------------------------------------
 

@@ -31,7 +31,7 @@ when it lowers cx, so the attempt takes at most cx steps on any input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     Summand,
@@ -77,8 +77,7 @@ def slot_weight(vertex: int, position: int) -> int:
     return 2 * position + 1 if vertex == 0 else 2 * position
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     top_index: int  # N, the highest occupied position
     u_profile: tuple[tuple[int, int], ...]  # (position, multiplicity) for vertex 0
     v_profile: tuple[tuple[int, int], ...]  # same for vertex 1
@@ -104,8 +103,7 @@ def complexity(c: TwistedComplex) -> ComplexityReport:
 # -- admissibility ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibleReport:
+class AdmissibleReport(NamedTuple):
     ok: bool
     negative_degrees: tuple[tuple[int, int], ...]  # (degree, rank) below zero
 
@@ -208,8 +206,7 @@ def case_a_structure_defects(c: TwistedComplex) -> list[str]:
 # -- one reduction step -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     letters: BraidWord
     case: str
     cx_before: int
@@ -287,16 +284,14 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
 # -- full normalization --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     letters: BraidWord
     case: str
     cx_before: int
     cx_after: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     word: BraidWord
     target_vertex: int
     shift: int
@@ -325,16 +320,20 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
     """
     Reduce an admissible complex to multiplicity many copies of one shifted
     core; the returned certificate's word has been replayed on the input and
-    landed on those copies on the nose. Admissibility is computed only when
-    the reduction fails: it then decides between InadmissibleInput and the
-    reduction's own error. seed is ignored; it is kept for callers that
-    still pass it.
+    landed on those copies on the nose. An input that minimizes to the empty
+    complex lies in no core's orbit and raises PreconditionViolated at once.
+    Admissibility is computed only when the reduction fails: it then decides
+    between InadmissibleInput and the reduction's own error. seed is
+    ignored; it is kept for callers that still pass it.
     """
     require_valid(c, "normalize input")
     if c.is_empty:
         raise PreconditionViolated("the empty complex lies in no core's orbit")
+    work, _ = shift_normalized(minimize(c))
+    if work.is_empty:
+        raise PreconditionViolated("the input is quasi-isomorphic to zero, so it lies in no core's orbit")
     try:
-        return _certify(c, structural_checks)
+        return _certify(c, work, structural_checks)
     except NormalizeError as exc:
         adm = admissible(c)
         if not adm.ok:
@@ -343,17 +342,18 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
         raise
 
 
-def _certify(c: TwistedComplex, structural_checks: bool) -> Certificate:
-    """The reduction, each step of which lowers cx, then the replayed certificate."""
-    work, _ = shift_normalized(minimize(c))
+def _certify(c: TwistedComplex, work: TwistedComplex, structural_checks: bool) -> Certificate:
+    """
+    The reduction of work, the nonempty minimized and shift-normalized c,
+    each step of which lowers cx and keeps it nonempty, then the certificate
+    replayed on c.
+    """
     trace: list[TraceEntry] = []
-    cx = 0 if work.is_empty else complexity(work).cx
+    cx = complexity(work).cx
     while cx > 0:
         step = reduction_step(work, structural_checks=structural_checks)
         trace.append(TraceEntry(step.letters, step.case, step.cx_before, step.cx_after))
         work, cx = step.result, step.cx_after
-    if work.is_empty:
-        raise NormalizerDeadEnd("complex collapsed to zero during reduction")
 
     word = tuple(letter for entry in trace for letter in entry.letters)
     final = apply_braid(word, c)

@@ -17,7 +17,7 @@ an emergent property the tests observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .category import make_params
 from .complexes import (
@@ -34,14 +34,18 @@ from .complexes import (
 )
 
 
-@dataclass(frozen=True)
-class BraidLetter:
+class _BraidLetter(NamedTuple):
     vertex: int  # 0 or 1
     power: int  # +1 or -1
 
-    def __post_init__(self):
-        if self.vertex not in (0, 1) or self.power not in (1, -1):
-            raise ValueError(f"bad braid letter ({self.vertex}, {self.power})")
+
+class BraidLetter(_BraidLetter):
+    __slots__ = ()
+
+    def __new__(cls, vertex: int, power: int):
+        if isinstance(vertex, bool) or isinstance(power, bool) or vertex not in (0, 1) or power not in (1, -1):
+            raise ValueError(f"bad braid letter ({vertex}, {power})")
+        return super().__new__(cls, vertex, power)
 
     def inverse(self) -> "BraidLetter":
         return BraidLetter(self.vertex, -self.power)

@@ -120,5 +120,9 @@ def test_validate_params_accepts_and_rejects():
     assert any("at most" in p for p in validate_params(MAX_N + 1, 2))
     assert validate_params(3, MAX_CHARACTERISTIC) == []  # the bound is the Mersenne prime 2^31 - 1
     assert any("at most" in p for p in validate_params(3, 2**61 - 1))  # prime, but refused before trial division
+    assert any("nonnegative integers" in p for p in validate_params(3, 32003, (1, True, True, 1)))
+    assert any("prime" in p for p in validate_params(3, False))
+    with pytest.raises(ParameterError):
+        make_params(3, 32003, (1, True, True, 1))
     with pytest.raises(ParameterError):
         make_params(2)

@@ -9,7 +9,7 @@ import plumbtwist
 from plumbtwist import category
 from plumbtwist.category import MAX_BETTI, MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
-from plumbtwist.complexes import Summand, TwistedComplex, direct_sum, single_core, validate
+from plumbtwist.complexes import Morphism, Summand, TwistedComplex, cone, direct_sum, single_core, validate
 from plumbtwist.serialize import (
     DocumentError,
     ValidationRejection,
@@ -270,6 +270,16 @@ def test_cli_normalize_and_exit_codes(tmp_path):
     assert json.loads(proc.stdout)["outputs"]["error"] == "inadmissible"
 
 
+def test_cli_normalize_refuses_contractible_input(tmp_path, capsys):
+    q0 = single_core(make_params(3), 0)
+    f = tmp_path / "contractible.json"
+    f.write_text(serialize_complex(cone(Morphism(q0, q0, 0, {(0, 0): {"e0": 1}}))))
+    assert main(["normalize", "--in", str(f)]) == 1
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["error"] == "normalizer-dead-end"
+    assert "quasi-isomorphic to zero" in out["detail"] and "no core's orbit" in out["detail"]
+
+
 @pytest.mark.parametrize("characteristic", (2, 32003, 0))
 def test_cli_normalize_certifies_six_copies(tmp_path, characteristic):
     image = apply_braid("s0 S1", single_core(make_params(3, characteristic), 0))
@@ -408,10 +418,13 @@ def test_cli_hostile_document_is_schema_error(tmp_path, name):
 
 
 def test_cli_import_leaves_numpy_out():
-    probe = "import sys, plumbtwist.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV)
+    # -S skips site, so .pth files of the interpreter's installation cannot
+    # load these modules first; dataclasses alone would bring in inspect.
+    probe = ("import sys, plumbtwist.cli; "
+             "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", sorted(ILL_TYPED))

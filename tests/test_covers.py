@@ -73,6 +73,8 @@ def test_cover_spec_validation():
         CoverSpec(2, 2)
     with pytest.raises(CoverError):
         CoverSpec(0, 0)
+    with pytest.raises(CoverError):
+        CoverSpec(0, True)  # a bool is not an index, though True == 1
     assert CoverSpec(0, 4).compatible_with(2)
     assert not CoverSpec(0, 4).compatible_with(3)
     assert not CoverSpec(0, 4).compatible_with(0)
@@ -203,6 +205,8 @@ def test_feasibility_rejects_bad_vectors():
         truncation_feasibility((2, 0, 1))
     with pytest.raises(CoverError):
         BettiVector((1, -1, 1))
+    with pytest.raises(CoverError):
+        BettiVector((1, True, 1))
 
 
 def test_feasibility_symbolic_sweep():

@@ -36,6 +36,8 @@ def test_characteristic_must_be_prime_or_zero():
     Field(2)
     with pytest.raises(FieldError):
         Field(6)
+    with pytest.raises(FieldError):
+        Field(False)  # not the rationals, though False == 0
 
 
 @pytest.mark.parametrize("characteristic", [0, 7, 32003])

@@ -4,8 +4,10 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
+    Morphism,
     Summand,
     TwistedComplex,
+    cone,
     direct_sum,
     hf_ranks,
     minimize,
@@ -222,6 +224,18 @@ def test_normalize_trivial_inputs(P):
     assert (cert.word, cert.target_vertex, cert.shift, cert.multiplicity) == ((), 0, 5, 1)
     cert = normalize(direct_sum(single_core(P, 0), single_core(P, 0)))
     assert cert.multiplicity == 2 and cert.word == ()
+
+
+def test_normalize_refuses_contractible_input_without_admissibility(P, monkeypatch):
+    def refuse_admissible(c):
+        raise AssertionError("admissible ran on an input that minimizes to zero")
+
+    monkeypatch.setattr(normalizer, "admissible", refuse_admissible)
+    image = apply_braid("s0 S1", single_core(P, 0))
+    for c in (single_core(P, 0), single_core(P, 1), image):
+        identity = {(i, i): {f"e{s.vertex}": 1} for i, s in enumerate(c.summands)}
+        with pytest.raises(PreconditionViolated, match="quasi-isomorphic to zero, so it lies in no core's orbit"):
+            normalize(cone(Morphism(c, c, 0, identity)))
 
 
 def test_normalize_rejects_inadmissible(P):

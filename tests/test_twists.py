@@ -46,6 +46,8 @@ def test_word_parsing_round_trip():
     assert word == (BraidLetter(0, 1), BraidLetter(1, -1), BraidLetter(1, 1), BraidLetter(0, -1))
     with pytest.raises(ValueError):
         parse_word("t0")
+    with pytest.raises(ValueError):
+        BraidLetter(True, 1)
 
 
 def test_twist_shift_law(P):
