@@ -120,8 +120,28 @@ def make_params(n: int, characteristic: int = 32003, betti0=None) -> CategoryPar
     return CategoryParams(n=n, field=Field(characteristic), betti0=tuple(betti0) if betti0 is not None else None)
 
 
+class BasisProducts(dict):
+    """
+    The memo of basis products: (g, f) -> the name of g∘f (f first), or None
+    when it vanishes, filled from compose_names on first lookup. Every
+    composite has coefficient 1, so the name is all compose_names adds. A
+    non-composable pair raises ValueError on every lookup and is never stored.
+    """
+
+    __slots__ = ("compose_names",)
+
+    def __init__(self, compose_names):
+        super().__init__()
+        self.compose_names = compose_names
+
+    def __missing__(self, pair: tuple[str, str]) -> str | None:
+        hit = self.compose_names(*pair)
+        name = self[pair] = None if hit is None else hit[0]
+        return name
+
+
 class Category:
-    """Morphism bases and the composition table for fixed CategoryParams."""
+    """Morphism bases, the composition table and its memo of basis products for fixed CategoryParams."""
 
     def __init__(self, params: CategoryParams):
         self.params = params
@@ -141,6 +161,7 @@ class Category:
         }
         self.by_name = {m.name: m for sp in self._spaces.values() for m in sp}
         self._table = self._build_table(betti)
+        self.products = BasisProducts(self.compose_names)
 
     # -- morphism spaces -------------------------------------------------------
 
@@ -185,15 +206,16 @@ class Category:
         return self._table.get((g, f))
 
     def compose(self, g: dict[str, object], f: dict[str, object]) -> dict[str, object]:
-        """Bilinear extension of compose_names on {name: coefficient} combos; every
-        term is added with linalg.axpy, so the result stores no zeros."""
+        """Bilinear extension of the product memo on {name: coefficient} combos;
+        every term is added with linalg.axpy, so the result stores no zeros."""
         p = self.params.field.characteristic
+        products = self.products
         out: dict[str, object] = {}
         for gn, gc in g.items():
             for fn, fc in f.items():
-                hit = self.compose_names(gn, fn)
-                if hit is not None:  # every composite has coefficient 1
-                    axpy(out, {hit[0]: fc}, gc, p)
+                name = products[gn, fn]
+                if name is not None:
+                    axpy(out, {name: fc}, gc, p)
         return out
 
 

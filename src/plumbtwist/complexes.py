@@ -119,6 +119,10 @@ class TwistedComplex:
 
 
 def single_core(params: CategoryParams, vertex: int, position: int = 0) -> TwistedComplex:
+    # Summand, built in hot loops, checks nothing: a bool would be written out as "vertex": true.
+    for what, value in (("vertex", vertex), ("position", position)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ComplexError(f"single_core {what} must be an integer, got {value!r}")
     return TwistedComplex(params, [Summand(vertex, position)])
 
 
@@ -324,13 +328,15 @@ class HomComplex:
     deg(basis) - pos(i) + pos(j) = g; the differential is
     D(f) = delta_d . f - (-1)^g f . delta_c.
     It is held sparse: columns[g][k] is the image of generator k of degree g
-    as {index in degree g+1: coefficient}. Ranks and coboundaries come from
-    eliminating those columns with linalg.Echelon, kernels from eliminating
-    their transpose (linalg.kernel_basis). All are sparse vectors over the
-    generators of one degree; morphism turns such a vector into a Morphism,
-    the one place that reads the generator layout. differentials is a dense
-    Matrix view that nothing in the library reads: the traced benchmark
-    counts nonzeros and cells on it.
+    as {index in degree g+1: coefficient}, written term by term, each basis
+    product looked up in the category's memo (Category.products); an entry
+    of delta of the wrong degree raises ComplexError. Ranks and coboundaries
+    come from eliminating those columns with linalg.Echelon, kernels from
+    eliminating their transpose (linalg.kernel_basis). All are sparse
+    vectors over the generators of one degree; morphism turns such a vector
+    into a Morphism, the one place that reads the generator layout.
+    differentials is a dense Matrix view that nothing in the library reads:
+    the traced benchmark counts nonzeros and cells on it.
 
     An optional window of degrees builds only what D out of those degrees
     needs: the generators of the window's degrees and of their successors,
@@ -348,8 +354,7 @@ class HomComplex:
         self.target = d
         self.params = c.params
         self.window = None if degrees is None else frozenset(degrees)
-        field = c.params.field
-        p = field.characteristic
+        p = c.params.field.characteristic
         cat = c.category
         for side, x in (("source", c), ("target", d)):
             for i, s in enumerate(x.summands):
@@ -367,22 +372,32 @@ class HomComplex:
         self.components = {g: tuple(gens) for g, gens in sorted(components.items())}
         self.index = {gen: (g, k) for g, gens in self.components.items() for k, gen in enumerate(gens)}
 
-        out_of = _grouped(d.delta, 0)  # target delta by source summand
-        into = _grouped(c.delta, 1)  # source delta by target summand
+        # D(f) = delta_d . f - (-1)^g f . delta_c: the target entries leaving f's
+        # target summand, and the source entries entering f's source summand,
+        # negated once here for the even degrees.
+        out_of = _grouped(d.delta, 0)
+        into = _grouped(c.delta, 1)
+        into_negated = {i: [(i2, axpy({}, combo, -1, p)) for i2, combo in entries] for i, entries in into.items()}
         index = self.index
+        products = cat.products
         self.columns: dict[int, list[Vector]] = {}
         for g, gens in self.components.items():
             if self.window is not None and g not in self.window:
                 continue
-            sign = -1 if g % 2 == 0 else 1  # the sign -(-1)^g
+            into_g = into_negated if g % 2 == 0 else into
             cols = []
             for i, j, name in gens:
-                one = {name: field.one}
                 col: Vector = {}
                 for j2, combo in out_of.get(j, ()):
-                    axpy(col, _image(index, g, i, j2, cat.compose(combo, one)), 1, p)
-                for i2, combo in into.get(i, ()):
-                    axpy(col, _image(index, g, i2, j, cat.compose(one, combo)), sign, p)
+                    for name2, x in combo.items():
+                        prod = products[name2, name]
+                        if prod is not None:
+                            _add_term(col, index, g, (i, j2, prod), x, p)
+                for i2, combo in into_g.get(i, ()):
+                    for name2, x in combo.items():
+                        prod = products[name, name2]
+                        if prod is not None:
+                            _add_term(col, index, g, (i2, j, prod), x, p)
                 cols.append(col)
             self.columns[g] = cols
 
@@ -447,17 +462,17 @@ class HomComplex:
         return Morphism(self.source, self.target, g, comps)
 
 
-def _image(index, g: int, i: int, j: int, combo: Combo) -> Vector:
-    """A degree-g hom generator's image combo at slot (i, j), as a vector over the degree-(g+1) generators."""
-    vec: Vector = {}
-    for name, coeff in combo.items():
-        gen = (i, j, name)
-        slot = index.get(gen)
-        if slot is None or slot[0] != g + 1:
-            # Only an entry of delta of the wrong degree sends D out of degree g + 1.
-            raise ComplexError(f"hom differential sends degree {g} to {gen}, which is not in degree {g + 1}")
-        vec[slot[1]] = coeff
-    return vec
+def _add_term(col: Vector, index, g: int, gen: Gen, x, p: int) -> None:
+    """col += x at hom generator gen, one term of D out of degree g; gen must lie in degree g + 1."""
+    slot = index.get(gen)
+    if slot is None or slot[0] != g + 1:
+        # Only an entry of delta of the wrong degree sends D out of degree g + 1.
+        raise ComplexError(f"hom differential sends degree {g} to {gen}, which is not in degree {g + 1}")
+    k = slot[1]
+    if k in col:  # only self-loops, which validate refuses, land two terms on one generator
+        axpy(col, {k: x}, 1, p)
+    else:
+        col[k] = x
 
 
 def hom_complex(c: TwistedComplex, d: TwistedComplex, degrees: Iterable[int] | None = None) -> HomComplex:

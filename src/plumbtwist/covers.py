@@ -60,6 +60,11 @@ class CoverSpec(_CoverSpec):
             raise CoverError(f"index must be a positive integer or '{INFINITE}', got {index!r}")
         return super().__new__(cls, covered_vertex, index)
 
+    @classmethod
+    def _make(cls, iterable) -> "CoverSpec":
+        """Through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
+
     def compatible_with(self, characteristic: int) -> bool:
         if self.index == INFINITE:
             return True
@@ -162,6 +167,11 @@ class BettiVector(_BettiVector):
         if b[0] != 1 or b[-1] != 1:
             raise CoverError(f"need b^0 = b^n = 1, got b^0={b[0]}, b^n={b[-1]}")
         return super().__new__(cls, numbers)
+
+    @classmethod
+    def _make(cls, iterable) -> "BettiVector":
+        """Through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

@@ -47,6 +47,11 @@ class BraidLetter(_BraidLetter):
             raise ValueError(f"bad braid letter ({vertex}, {power})")
         return super().__new__(cls, vertex, power)
 
+    @classmethod
+    def _make(cls, iterable) -> "BraidLetter":
+        """Through __new__, so _make and _replace validate too."""
+        return cls(*iterable)
+
     def inverse(self) -> "BraidLetter":
         return BraidLetter(self.vertex, -self.power)
 
@@ -85,8 +90,8 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     require_valid(c, "twist input")
     if power not in (1, -1):
         raise ValueError(f"twist power must be +1 or -1, got {power}")
-    if vertex not in (0, 1):
-        raise ValueError(f"twist vertex must be 0 or 1, got {vertex}")
+    if not isinstance(vertex, int) or isinstance(vertex, bool) or vertex not in (0, 1):
+        raise ValueError(f"twist vertex must be 0 or 1, got {vertex!r}")
     forward = power == 1
     core = single_core(c.params, vertex)
     hom = hom_complex(core, c) if forward else hom_complex(c, core)

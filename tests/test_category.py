@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from plumbtwist.category import MAX_CHARACTERISTIC, MAX_N, ParameterError, category_for, make_params, validate_params
+from plumbtwist.category import (
+    MAX_CHARACTERISTIC,
+    MAX_N,
+    Category,
+    ParameterError,
+    category_for,
+    make_params,
+    validate_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +63,30 @@ def test_interior_products_below_top_vanish():
     # x2 . x2 lands in degree 4 < 6, hence vanishes; x4 . x2 pairs into the top.
     assert cat.compose_names("x2", "x2") is None
     assert cat.compose_names("x4", "x2") == ("f0", 1)
+
+
+@pytest.mark.parametrize("n, betti0", [(3, None), (4, (1, 0, 1, 0, 1)), (4, (1, 0, 2, 0, 1))],
+                         ids=["cat3", "cat4_cp2", "cat4_two_interior"])
+def test_products_memo_matches_compose_names(n, betti0):
+    # A fresh Category, not the cached one, so every pair meets an empty memo.
+    cat = Category(make_params(n, 32003, betti0))
+    names = sorted(cat.by_name)
+    for g in names:
+        for f in names:
+            try:
+                hit = cat.compose_names(g, f)
+            except ValueError as exc:
+                for _ in range(2):  # raised again, never memoized
+                    with pytest.raises(ValueError) as raised:
+                        cat.products[g, f]
+                    assert str(raised.value) == str(exc)
+                assert (g, f) not in cat.products
+                continue
+            assert hit is None or hit[1] == 1
+            want = None if hit is None else hit[0]
+            assert cat.products[g, f] == want and (g, f) in cat.products
+            assert cat.products[g, f] == want
+    assert len(cat.products) == sum(cat.by_name[g].source == cat.by_name[f].target for g in names for f in names)
 
 
 @pytest.mark.parametrize("catname", ["cat3", "cat4_cp2"])

@@ -80,6 +80,13 @@ def test_validate_rejects_summand_off_the_two_cores(P):
     assert [v.kind for v in validate(dangling)] == ["vertex", "degree"]
 
 
+def test_single_core_refuses_a_bool_vertex_or_position(P):
+    # Summand checks nothing; a bool would serialize as "vertex": true, which parse_complex refuses.
+    for vertex, position, what in ((True, 0, "vertex"), (False, 0, "vertex"), (0.0, 0, "vertex"), (0, True, "position")):
+        with pytest.raises(ComplexError, match=f"single_core {what} must be an integer"):
+            single_core(P, vertex, position)
+
+
 def test_validate_reports_mc_obstruction_slot(P):
     n = P.n
     c = TwistedComplex(
@@ -221,6 +228,24 @@ def test_hf_ranks_refuses_a_wrong_degree_entry():
     for a, b in ((c, c), (c, single_core(P, 0)), (single_core(P, 1), c)):
         with pytest.raises(ComplexError, match="not in degree"):
             hf_ranks(a, b)
+
+
+def test_hf_ranks_on_a_mislabelled_entry_keeps_its_errors():
+    # e0 sits on a Q0 -> Q1 slot: a wrong-degree image where the product with a
+    # hom generator exists, and compose_names' ValueError where it does not.
+    P = make_params(3)
+    c = TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(0, 1): {"e0": 1}})
+    assert [v.kind for v in validate(c)] == ["degree"]
+    cases = (
+        (c, c, ComplexError, "hom differential sends degree 0 to (0, 1, 'e0'), which is not in degree 1"),
+        (c, single_core(P, 0), ValueError, "cannot compose q after e0: target 0 != source 1"),
+        (single_core(P, 1), c, ComplexError, "hom differential sends degree 2 to (0, 1, 'q'), which is not in degree 3"),
+        (c, single_core(P, 1), ValueError, "cannot compose e1 after e0: target 0 != source 1"),
+    )
+    for a, b, error, message in cases:
+        with pytest.raises(error) as raised:
+            hf_ranks(a, b)
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_hf_ranks_refuses_negative_ranks_from_a_maurer_cartan_failure():

@@ -238,23 +238,53 @@ def test_fibre_rank_matches_reference(case):
 # -- sparse hom-complex columns against Morphism.differential ----------------------------------
 
 
+# (n, Betti vector of Q0, window of degrees): spherical cores at n = 3 and 5,
+# interior pairings x2.j . x2.j = f0 with multiplicity two at n = 4, and the
+# degree-0 window the quasi-isomorphism oracle builds.
+HOM_LAYOUTS = ((3, None, None), (4, (1, 0, 2, 0, 1), None), (5, None, None), (3, None, {0}))
+
+
 def test_hom_columns_match_morphism_differential():
     rng = random.Random(17)
+    for n, betti0, window in HOM_LAYOUTS:
+        for characteristic in (2, 32003, 0):
+            params = make_params(n, characteristic, betti0)
+            field = params.field
+            cores = [single_core(params, v) for v in (0, 1)]
+            pairs = [(apply_braid(random_word(rng, 3), rng.choice(cores)),
+                      apply_braid(random_word(rng, 3), rng.choice(cores))) for _ in range(4)]
+            if betti0 is not None:
+                interior = TwistedComplex(params, [Summand(0, 1), Summand(0, 0)], {(0, 1): {"x2.1": 1, "x2.2": 3}})
+                pairs += [(interior, interior), (interior, pairs[0][1])]
+            for c, d in pairs:
+                h = hom_complex(c, d, degrees=window)
+                assert set(h.columns) == set(h.components) if window is None else set(h.columns) <= window
+                assert_columns_are_differentials(h)
+
+
+def test_hom_columns_sum_the_two_terms_of_a_self_loop():
+    # Unvalidated: a self-loop 5 x1 on Q0 (b^1 = 1 at n = 4) is a degree-1 entry, and
+    # x1 . x1 = 0, so delta squares to zero. Both terms of D land on one generator:
+    # 5 (x1 . e0 - e0 . x1) = 0 from e0, and 5 (x1 . x3 + x3 . x1) = 10 f0 from x3.
     for characteristic in (2, 32003, 0):
-        params = make_params(3, characteristic)
-        field = params.field
-        q0 = single_core(params, 0)
-        for _ in range(4):
-            c = apply_braid(random_word(rng, 3), q0)
-            d = apply_braid(random_word(rng, 3), q0)
-            h = hom_complex(c, d)
-            for g, gens in h.components.items():
-                nxt = h.components.get(g + 1, ())
-                for k, (i, j, name) in enumerate(gens):
-                    image = Morphism(c, d, g, {(i, j): {name: field.one}}).differential().comps
-                    want = {nxt.index((i2, j2, nm)): v for (i2, j2), combo in image.items()
-                            for nm, v in combo.items()}
-                    assert h.columns[g][k] == want
-                    dense = h.differentials[g]
-                    assert [dense.entries[r][k] for r in range(dense.rows)] == \
-                        [want.get(r, field.zero) for r in range(len(nxt))]
+        params = make_params(4, characteristic, (1, 1, 0, 1, 1))
+        loop = TwistedComplex(params, [Summand(0, 0)], {(0, 0): {"x1": 5}})
+        h = hom_complex(loop, loop)
+        assert_columns_are_differentials(h)
+        (_, e0), (_, x3), (_, f0) = (h.index[(0, 0, name)] for name in ("e0", "x3", "f0"))
+        ten = params.field.element(10)
+        assert h.columns[0][e0] == {}
+        assert h.columns[3][x3] == ({f0: ten} if ten else {})
+
+
+def assert_columns_are_differentials(h):
+    """Each hom column equals Morphism.differential of its generator, sparse and in the dense view."""
+    field = h.params.field
+    for g, cols in h.columns.items():
+        nxt = h.components.get(g + 1, ())
+        dense = h.differentials[g]
+        for k, (i, j, name) in enumerate(h.components[g]):
+            image = Morphism(h.source, h.target, g, {(i, j): {name: field.one}}).differential().comps
+            want = {nxt.index((i2, j2, nm)): v for (i2, j2), combo in image.items() for nm, v in combo.items()}
+            assert cols[k] == want
+            assert [dense.entries[r][k] for r in range(dense.rows)] == [want.get(r, field.zero) for r in range(len(nxt))]

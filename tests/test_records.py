@@ -7,7 +7,7 @@ import pytest
 
 from plumbtwist.category import CategoryParams, category_for, make_params
 from plumbtwist.complexes import Morphism, Summand, Violation, shift_normalized, single_core
-from plumbtwist.covers import BettiVector, BoundaryRankReport, CoverSpec, truncation_feasibility
+from plumbtwist.covers import INFINITE, BettiVector, BoundaryRankReport, CoverError, CoverSpec, truncation_feasibility
 from plumbtwist.linalg import Field
 from plumbtwist.normalizer import admissible, complexity, normalize, reduction_step
 from plumbtwist.twists import BraidLetter, apply_braid
@@ -81,3 +81,21 @@ def test_morphisms_never_share_a_default_comps():
     f, g = Morphism(q0, q0, 0), Morphism(q0, q0, 0)
     f.comps[(0, 0)] = {"e0": 1}
     assert g.comps == {} and f.comps is not g.comps
+
+
+def test_validated_records_validate_make_and_replace_too():
+    refused = (
+        (lambda: CoverSpec(0, 2)._replace(index=True), CoverError, "index must be a positive integer"),
+        (lambda: CoverSpec._make((2, 3)), CoverError, "covered_vertex must be 0 or 1"),
+        (lambda: BettiVector((1, 0, 1))._replace(numbers=(1, -1, 1)), CoverError, "nonnegative integers"),
+        (lambda: BettiVector._make([(2, 0, 1)]), CoverError, "b\\^0 = b\\^n = 1"),
+        (lambda: BraidLetter(0, 1)._replace(power=5), ValueError, "bad braid letter"),
+        (lambda: BraidLetter._make((True, 1)), ValueError, "bad braid letter"),
+    )
+    for build, error, message in refused:
+        with pytest.raises(error, match=message):
+            build()
+    assert CoverSpec(0, 2)._replace(index=4) == CoverSpec(0, 4)
+    assert type(CoverSpec._make((1, INFINITE))) is CoverSpec
+    assert BettiVector._make([(1, 1, 1)]) == BettiVector((1, 1, 1))
+    assert str(BraidLetter(0, 1)._replace(power=-1)) == "S0"
