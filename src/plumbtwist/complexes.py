@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .category import Category, CategoryParams, category_for
-from .linalg import Immutable, Matrix, Vector, axpy, echelon_of, graded_ranks, invertible_combinations, kernel_basis
+from .linalg import (Immutable, Matrix, Vector, axpy, graded_ranks, invertible_combinations, kernel_and_image_tops,
+                     kernel_basis)
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -330,9 +331,12 @@ class HomComplex:
     It is held sparse: columns[g][k] is the image of generator k of degree g
     as {index in degree g+1: coefficient}, written term by term, each basis
     product looked up in the category's memo (Category.products); an entry
-    of delta of the wrong degree raises ComplexError. Ranks and coboundaries
-    come from eliminating those columns with linalg.Echelon, kernels from
-    eliminating their transpose (linalg.kernel_basis). All are sparse
+    of delta of the wrong degree raises ComplexError. Ranks come from
+    eliminating those columns with linalg.Echelon. Kernels come from
+    eliminating their transpose (linalg.kernel_basis), and the one
+    elimination per degree behind cocycle_representatives gives both the
+    kernel of D out of degree g and the coboundary tops in degree g + 1
+    (linalg.kernel_and_image_tops). All are sparse
     vectors over the generators of one degree; morphism turns such a vector
     into a Morphism, the one place that reads the generator layout.
     differentials is a dense Matrix view that nothing in the library reads:
@@ -440,14 +444,17 @@ class HomComplex:
         over the generators of their degree. As D . D = 0, the coboundaries
         lie in the kernel, where a vector's largest index is always a free
         column; a kernel vector is kept unless its free column is the largest
-        index of some coboundary, a pivot of their echelon on reversed indices.
+        index of some coboundary. One elimination of the rows of D out of
+        degree g gives both the kernel in degree g and those largest indices
+        in degree g + 1.
         """
         self._require_whole("cocycle_representatives")
         field = self.params.field
         reps: dict[int, list[Vector]] = {}
+        tops: dict[int, set[int]] = {}  # tops[g]: the largest indices of the coboundaries in degree g
         for g in self.components:
-            top = echelon_of(field, ({-k: x for k, x in col.items()} for col in self.columns.get(g - 1, []))).rows
-            chosen = [vec for vec in self.kernel(g) if -max(vec) not in top]
+            kernel, tops[g + 1] = kernel_and_image_tops(field, self.columns[g])
+            chosen = [vec for vec in kernel if max(vec) not in tops.get(g, ())]
             if chosen:
                 reps[g] = chosen
         return reps

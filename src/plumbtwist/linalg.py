@@ -9,15 +9,21 @@ this package.
 Vectors are sparse {key: value} dicts with no zero values, and axpy is the
 one in-place accumulate on them. All elimination runs on one routine,
 Echelon: sparse rows in echelon form, each led by its smallest index with
-value one. kernel_basis reads kernels off the reduced echelon form of the
-transposed columns. graded_ranks turns the sparse columns of a graded
-differential into cohomology ranks (hom complexes, the cotangent-fibre
-pairing), and invertible_combinations samples an affine family of sparse
-square blocks for invertible members (the quasi-isomorphism oracle): the
-all-ones point first, then seeded random points, then, over fields of fewer
-than SMALL_FIELD_BOUND elements, a sweep of a 2-parameter sub-family. The
-dense Matrix is a thin view of already-canonical entries that keeps only
-the members the traced benchmark reads; its rref and det_nonzero run on
+value one. kernel_and_image_tops eliminates the transposed columns once,
+rows inserted from the last index down: the reduced echelon form gives the
+kernel, and the rows that were independent of the rows below them are the
+largest indices of the image vectors (the cocycle route of hom complexes
+reads both; kernel_basis only the kernel). graded_ranks turns the sparse
+columns of a graded differential into cohomology ranks (hom complexes, the
+cotangent-fibre pairing), and invertible_combinations samples an affine
+family of sparse square blocks for invertible members (the
+quasi-isomorphism oracle). It first compares the term rank of the blocks'
+union support (term_rank, a maximum matching) with the size: below it,
+every member is singular and nothing is sampled. Otherwise it tries the
+all-ones point, then seeded random points, then, over fields of fewer than
+SMALL_FIELD_BOUND elements, a sweep of a 2-parameter sub-family. The dense
+Matrix is a thin view of already-canonical entries that keeps only the
+members the traced benchmark reads; its rref and det_nonzero run on
 Echelon too.
 """
 
@@ -237,24 +243,37 @@ def echelon_of(field: Field, vectors: Iterable[Vector]) -> Echelon:
     return ech
 
 
-def kernel_basis(field: Field, columns: Sequence[Vector]) -> list[Vector]:
+def kernel_and_image_tops(field: Field, columns: Sequence[Vector]) -> tuple[list[Vector], set[int]]:
     """
-    The canonical kernel basis of the matrix with these sparse columns: per
-    free column f, increasing, {f: 1} and -row_q[f] at each pivot q of the
-    reduced row echelon form, whose pivots are the greedy leftmost
-    independent columns.
+    The canonical kernel basis of the matrix with these sparse columns, and
+    the set of largest indices of the vectors in its image, from one
+    elimination of its rows inserted from the last index down.
+
+    The kernel: per free column f, increasing, {f: 1} and -row_q[f] at each
+    pivot q of the reduced row echelon form, whose pivots are the greedy
+    leftmost independent columns; that form does not depend on the order
+    the rows went in. The tops: the rows that were independent of the rows
+    below them. For every r, as many of them are >= r as the rank of the
+    rows >= r, which is also how many of the image's largest indices are.
     """
     transposed: dict[int, Vector] = {}
     for k, col in enumerate(columns):
         for r, x in col.items():
             transposed.setdefault(r, {})[k] = x
-    rows = echelon_of(field, transposed.values()).reduced().rows
+    ech = Echelon(field)
+    tops = {r for r in sorted(transposed, reverse=True) if ech.insert(transposed[r])}
+    rows = ech.reduced().rows
     basis = {f: {f: field.one} for f in range(len(columns)) if f not in rows}
     for q in sorted(rows):
         for f, x in rows[q].items():
             if f != q:
                 basis[f][q] = field.neg(x)
-    return list(basis.values())
+    return list(basis.values()), tops
+
+
+def kernel_basis(field: Field, columns: Sequence[Vector]) -> list[Vector]:
+    """The canonical kernel basis of the matrix with these sparse columns (see kernel_and_image_tops)."""
+    return kernel_and_image_tops(field, columns)[0]
 
 
 def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence[Vector]]) -> dict[int, int]:
@@ -311,8 +330,9 @@ class Matrix:
         return Matrix(f, out), pivots
 
     def det_nonzero(self) -> bool:
-        """Whether a square matrix is invertible."""
-        assert self.rows == self.cols
+        """Whether a square matrix is invertible; ValueError for a matrix that is not square."""
+        if self.rows != self.cols:
+            raise ValueError(f"det_nonzero needs a square matrix, got {self.rows} x {self.cols}")
         return len(echelon_of(self.field, self._row_vectors())) == self.rows
 
 
@@ -344,12 +364,56 @@ def candidate_coefficients(field: Field, count: int, seed: int) -> Iterator[tupl
             yield t
 
 
+def term_rank(support: Iterable[tuple[int, int]]) -> int:
+    """
+    The term rank of a support of (row, col) positions: the largest number of
+    them with no two in one row or one column, a maximum matching of rows to
+    columns. Each row in turn looks for an augmenting path depth first, on an
+    explicit stack (sizes reach thousands), and matched maps each matched
+    column to its row, so flipping a path costs its length. A square matrix
+    whose entries lie in the support is singular, whatever they are, when
+    the term rank is below its size (Edmonds 1967).
+    """
+    adj: dict[int, list[int]] = {}
+    for r, s in support:
+        adj.setdefault(r, []).append(s)
+    matched: dict[int, int] = {}
+    for root in adj:
+        seen: set[int] = set()
+        path_rows = [root]
+        path_cols: list[int] = []  # path_cols[k] leaves path_rows[k]
+        stack = [iter(adj[root])]
+        while stack:
+            for s in stack[-1]:
+                if s not in seen:
+                    break
+            else:  # a dead end: back up one row
+                stack.pop()
+                path_rows.pop()
+                if path_cols:
+                    path_cols.pop()
+                continue
+            seen.add(s)
+            path_cols.append(s)
+            r = matched.get(s)
+            if r is None:
+                matched.update(zip(path_cols, path_rows))
+                break
+            path_rows.append(r)
+            stack.append(iter(adj[r]))
+    return len(matched)
+
+
 def invertible_combinations(field: Field, size: int, blocks: Sequence[Vector], seed: int = 0) -> Iterator[tuple]:
     """
     The coefficient tuples from candidate_coefficients, in order, whose
     combination sum(c_i * blocks[i]) of sparse size x size blocks
-    {(row, col): value} is invertible. Each candidate costs one det_nonzero.
+    {(row, col): value} is invertible. Every combination lies on the union
+    of the blocks' supports, so when its term rank is below size none is
+    and nothing is tried; otherwise each candidate costs one det_nonzero.
     """
+    if term_rank(set().union(*blocks)) < size:
+        return
     p = field.characteristic
     for coeffs in candidate_coefficients(field, len(blocks), seed):
         acc: Vector = {}

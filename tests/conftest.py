@@ -4,7 +4,7 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
-from plumbtwist.linalg import echelon_of, kernel_basis
+from plumbtwist.linalg import Matrix, echelon_of, kernel_basis
 from plumbtwist.twists import LETTERS, apply_braid
 
 
@@ -76,6 +76,20 @@ def apply_matrix(field, entries, x):
             acc = field.add(acc, field.mul(a, b))
         out.append(acc)
     return out
+
+
+@pytest.fixture
+def det_nonzero_calls(monkeypatch):
+    """The sizes of the matrices passed to Matrix.det_nonzero, one per call: the oracle's candidates tested."""
+    calls = []
+    original = Matrix.det_nonzero
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "det_nonzero", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 
 import plumbtwist
 from plumbtwist.category import make_params
+from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.linalg import FieldError
 from plumbtwist.complexes import (
     INCONCLUSIVE,
@@ -381,6 +382,23 @@ def test_equivalent_distinguishes_connected_from_split():
     assert validate(joined) == []
     assert equivalent(joined, split) == INCONCLUSIVE
     assert hf_ranks(joined, single_core(P, 0)) != hf_ranks(split, single_core(P, 0))
+
+
+def test_equivalent_tries_no_candidate_on_cover_pairs(det_nonzero_calls):
+    # The ladder member (s0 S1)^k Q0 against its specialization to a cover of
+    # either core: the unit blocks of the degree-0 kernel cover too few rows
+    # for any combination to be invertible, so no candidate is tested. The
+    # braid-relation pairs still find theirs.
+    q0 = single_core(make_params(3, 32003), 0)
+    members = [apply_braid(" ".join(["s0 S1"] * k), q0) for k in (2, 3)]
+    assert [len(x) for x in members] == [5, 13]
+    for x in members:
+        for w in (0, 1):
+            assert equivalent(x, specialize(x, CoverSpec(w))) == INCONCLUSIVE
+    assert det_nonzero_calls == []
+    for x in members:
+        assert equivalent(apply_braid("s0 s1 s0", x), apply_braid("s1 s0 s1", x)) == YES
+    assert det_nonzero_calls
 
 
 def test_cone_euler_characteristic_additivity(P):

@@ -8,9 +8,13 @@ written here, over F_2, F_5, F_32003
 and Q, on random sparse and dense matrices including 0-row and 0-column
 shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
 The sparse hom-complex columns are compared with the differential of each
-generator computed by Morphism.differential.
+generator computed by Morphism.differential. term_rank is compared with an
+exhaustive search over partial assignments, invertible_combinations with the
+unpruned sampling loop, and the one-elimination cocycle route with the
+two-elimination route it replaced, both kept here.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,9 +22,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
-from plumbtwist.complexes import Morphism, Summand, TwistedComplex, hom_complex, single_core
-from plumbtwist.covers import fibre_rank
-from plumbtwist.linalg import Echelon, Field, Matrix, graded_ranks, kernel_basis
+from plumbtwist.complexes import Morphism, Summand, TwistedComplex, direct_sum, hom_complex, single_core
+from plumbtwist.covers import CoverSpec, fibre_rank, specialize
+from plumbtwist.linalg import (
+    Echelon,
+    Field,
+    Matrix,
+    candidate_coefficients,
+    echelon_of,
+    graded_ranks,
+    invertible_combinations,
+    kernel_and_image_tops,
+    kernel_basis,
+    term_rank,
+)
 from plumbtwist.twists import LETTERS, apply_braid
 
 from conftest import apply_matrix, kernel_of, random_word, rank_of, solve_with
@@ -288,3 +303,152 @@ def assert_columns_are_differentials(h):
             want = {nxt.index((i2, j2, nm)): v for (i2, j2), combo in image.items() for nm, v in combo.items()}
             assert cols[k] == want
             assert [dense.entries[r][k] for r in range(dense.rows)] == [want.get(r, field.zero) for r in range(len(nxt))]
+
+
+# -- term rank and the oracle's candidate search ------------------------------------------------
+
+
+def brute_force_term_rank(size, support):
+    """The most support positions no two in a row or column, over every partial assignment of rows to columns."""
+
+    @functools.cache
+    def best(row, used):
+        if row == size:
+            return 0
+        taken = [1 + best(row + 1, used | 1 << s) for s in range(size) if (row, s) in support and not used >> s & 1]
+        return max([best(row + 1, used)] + taken)
+
+    return best(0, 0)
+
+
+def test_term_rank_matches_exhaustive_search():
+    rng = random.Random(1967)
+    for _ in range(3000):
+        size = rng.randint(0, 6)
+        density = rng.choice((0.1, 0.25, 0.5))
+        support = {(r, s) for r in range(size) for s in range(size) if rng.random() < density}
+        assert term_rank(support) == brute_force_term_rank(size, support)
+
+
+def test_term_rank_of_a_long_path_needs_no_recursion():
+    # Row r sees columns r and r + 1, listed so that every row first takes the
+    # column its successor needs: the last row's augmenting path flips all of them.
+    size = 5000
+    support = [(r, r + 1) for r in range(size - 1)] + [(r, r) for r in range(size)]
+    assert term_rank(support) == size
+    assert term_rank(support[: size - 1] + [(r, r) for r in range(1, size)]) == size - 1
+
+
+def unpruned_invertible_combinations(field, size, blocks, seed=0):
+    """The sampling loop without the term-rank exit, each candidate decided by reference_rref."""
+    for coeffs in candidate_coefficients(field, len(blocks), seed):
+        m = [[field.zero] * size for _ in range(size)]
+        for c, block in zip(coeffs, blocks):
+            for (r, s), x in block.items():
+                m[r][s] = field.add(m[r][s], field.mul(c, x))
+        if len(reference_rref(field, m, size)[1]) == size:
+            yield coeffs
+
+
+@pytest.mark.parametrize("characteristic", (2, 3, 32003, 0), ids=["F2", "F3", "F32003", "Q"])
+def test_invertible_combinations_match_the_unpruned_loop(characteristic, det_nonzero_calls):
+    # Over F_2 and F_3 the candidates end with the SMALL_FIELD_BOUND sweep.
+    field = Field(characteristic)
+    rng = random.Random(characteristic)
+    pruned = tested = 0
+    for _ in range(25):
+        size = rng.randint(1, 4)
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            block = {}
+            for r in range(size):
+                for s in range(size):
+                    x = field.random_element(rng) if rng.random() < 0.3 else field.zero
+                    if x:
+                        block[(r, s)] = x
+            blocks.append(block)
+        before = len(det_nonzero_calls)
+        assert list(invertible_combinations(field, size, blocks, 5)) == list(
+            unpruned_invertible_combinations(field, size, blocks, 5))
+        if term_rank(set().union(*blocks)) < size:
+            assert len(det_nonzero_calls) == before
+            pruned += 1
+        else:
+            tested += 1
+    assert pruned and tested
+
+
+@pytest.mark.parametrize("characteristic", (2, 3, 32003, 0), ids=["F2", "F3", "F32003", "Q"])
+def test_invertible_combinations_test_a_singular_family_of_full_term_rank(characteristic, det_nonzero_calls):
+    # c * [[1, 1], [1, 1]] is singular for every c, though its support has term rank 2.
+    field = Field(characteristic)
+    ones = {(r, s): field.one for r in range(2) for s in range(2)}
+    assert term_rank(ones) == 2
+    assert list(invertible_combinations(field, 2, [ones], 9)) == []
+    assert len(det_nonzero_calls) == len(list(candidate_coefficients(field, 1, 9)))
+
+
+# -- cocycle representatives from one elimination per degree ----------------------------------
+
+
+def first_seen_kernel_basis(field, columns):
+    """The kernel as the two-elimination route computed it: transposed rows eliminated in first-seen order."""
+    transposed = {}
+    for k, col in enumerate(columns):
+        for r, x in col.items():
+            transposed.setdefault(r, {})[k] = x
+    rows = echelon_of(field, transposed.values()).reduced().rows
+    basis = {f: {f: field.one} for f in range(len(columns)) if f not in rows}
+    for q in sorted(rows):
+        for f, x in rows[q].items():
+            if f != q:
+                basis[f][q] = field.neg(x)
+    return list(basis.values())
+
+
+def reversed_column_tops(field, columns):
+    """The largest indices of the image: the pivots of the columns' echelon on negated indices."""
+    return {-k for k in echelon_of(field, ({-k: x for k, x in col.items()} for col in columns)).rows}
+
+
+def two_elimination_cocycle_representatives(hom):
+    """The route replaced: coboundary tops from the columns of D out of g - 1, the kernel of D out of g apart."""
+    field = hom.params.field
+    reps = {}
+    for g in hom.components:
+        tops = reversed_column_tops(field, hom.columns.get(g - 1, []))
+        chosen = [vec for vec in first_seen_kernel_basis(field, hom.columns[g]) if max(vec) not in tops]
+        if chosen:
+            reps[g] = chosen
+    return reps
+
+
+def random_hom_operand(rng, params):
+    """A braid image of a core, a sum of two, or the specialization of one to a cover of either core."""
+    cores = [single_core(params, v) for v in (0, 1)]
+    x = apply_braid(random_word(rng, 4), rng.choice(cores))
+    kind = rng.choice(("braid", "sum", "cover"))
+    if kind == "sum":
+        return direct_sum(x, apply_braid(random_word(rng, 3), rng.choice(cores)))
+    if kind == "cover":
+        return specialize(x, CoverSpec(rng.randint(0, 1)))
+    return x
+
+
+def test_fused_cocycle_route_matches_two_eliminations():
+    rng = random.Random(15)
+    nonzero_tops = 0
+    for n in (3, 4, 5):
+        for characteristic in CHARACTERISTICS:
+            params = make_params(n, characteristic)
+            field = params.field
+            for _ in range(8):
+                c = random_hom_operand(rng, params)
+                hom = hom_complex(c, c if rng.random() < 0.3 else random_hom_operand(rng, params))
+                for g, cols in hom.columns.items():
+                    kernel, tops = kernel_and_image_tops(field, cols)
+                    assert tops == reversed_column_tops(field, cols)
+                    assert kernel == first_seen_kernel_basis(field, cols)
+                    nonzero_tops += bool(tops)
+                assert hom.cocycle_representatives() == two_elimination_cocycle_representatives(hom)
+    assert nonzero_tops

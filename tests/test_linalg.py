@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
 
+import plumbtwist
 from plumbtwist import category, linalg
 from plumbtwist.linalg import (
     SAMPLE_BUDGET,
     Field,
     FieldError,
+    Matrix,
     candidate_coefficients,
     echelon_of,
     invertible_combinations,
@@ -171,3 +176,20 @@ def test_invertible_combinations_need_exhaustion_on_small_field():
     assert target not in list(islice(candidate_coefficients(f2, k, 0), SAMPLE_BUDGET))
     assert list(invertible_combinations(f2, k, blocks)) == [target]
 
+
+
+def test_det_nonzero_refuses_a_matrix_that_is_not_square():
+    # Under python -O an assert would vanish, and a 2 x 3 matrix of rank 2 would read as invertible.
+    with pytest.raises(ValueError, match="square matrix, got 2 x 3"):
+        Matrix(Field(5), [[1, 0, 0], [0, 1, 0]]).det_nonzero()
+    code = (
+        "from plumbtwist.linalg import Field, Matrix\n"
+        "try:\n"
+        "    print(Matrix(Field(5), [[1, 0, 0], [0, 1, 0]]).det_nonzero())\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(plumbtwist.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "refused: det_nonzero needs a square matrix, got 2 x 3\n", proc.stderr
