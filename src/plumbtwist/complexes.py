@@ -59,27 +59,24 @@ class Violation(NamedTuple):
 
 
 class TwistedComplex:
-    """Summands plus a strictly triangular degree-1 differential."""
+    """
+    Summands plus a strictly triangular degree-1 differential.
+
+    delta is always clean: every combo is nonzero, holds only nonzero
+    canonical field values (an int in [0, p), or a Fraction over Q), and is
+    a dict owned by this complex alone. The constructor establishes that for
+    outside input (the parser, user code) by coercing every value into the
+    field. The library's own constructions (shift, restrict, direct_sum,
+    cone, minimize, relabel, specialize) build a clean delta themselves and
+    hand it over through _assemble, which checks nothing.
+    """
 
     __slots__ = ("params", "summands", "delta")
 
     def __init__(self, params: CategoryParams, summands: Sequence[Summand], delta=None):
         self.params = params
         self.summands = tuple(summands)
-        element = params.field.element
-        p = params.field.characteristic
-        clean = {}
-        for (i, j), combo in (delta or {}).items():
-            kept = {}
-            for name, c in combo.items():
-                # Coerce only non-canonical values; re-wrapping every Fraction would slow the Q path.
-                canonical = type(c) is int and 0 <= c < p if p else type(c) is Fraction
-                value = c if canonical else element(c)
-                if value:
-                    kept[name] = value
-            if kept:
-                clean[(i, j)] = kept
-        self.delta = clean
+        self.delta = _cleaned(params.field, delta or {})
 
     # -- basics ------------------------------------------------------------------
 
@@ -119,6 +116,33 @@ class TwistedComplex:
         return self.summands[i].position - self.summands[j].position + 1
 
 
+def _cleaned(field, delta) -> dict[tuple[int, int], Combo]:
+    """delta in new dicts, every value coerced into the field, zero values and empty combos dropped."""
+    element = field.element
+    p = field.characteristic
+    clean = {}
+    for slot, combo in delta.items():
+        kept = {}
+        for name, c in combo.items():
+            # Coerce only non-canonical values; re-wrapping every Fraction would slow the Q path.
+            canonical = type(c) is int and 0 <= c < p if p else type(c) is Fraction
+            value = c if canonical else element(c)
+            if value:
+                kept[name] = value
+        if kept:
+            clean[slot] = kept
+    return clean
+
+
+def _assemble(params: CategoryParams, summands: Sequence[Summand], delta) -> TwistedComplex:
+    """A complex over a delta that is already clean (see TwistedComplex); it takes delta and its combos over."""
+    c = TwistedComplex.__new__(TwistedComplex)
+    c.params = params
+    c.summands = tuple(summands)
+    c.delta = delta
+    return c
+
+
 def single_core(params: CategoryParams, vertex: int, position: int = 0) -> TwistedComplex:
     # Summand, built in hot loops, checks nothing: a bool would be written out as "vertex": true.
     for what, value in (("vertex", vertex), ("position", position)):
@@ -135,22 +159,52 @@ def empty_complex(params: CategoryParams) -> TwistedComplex:
 
 
 def validate(c: TwistedComplex) -> list[Violation]:
-    """All invariant violations; an empty list means the complex is well-formed."""
-    cat = c.category
-    n = c.params.n
+    """
+    All invariant violations; an empty list means the complex is well-formed.
+
+    One unsorted scan over delta flags the slots that are dangling, carry a
+    self-loop, an unknown or mislabelled basis name or a wrong degree, or
+    let a top-class entry reach too low; only the flagged slots are then
+    walked again, in sorted order, to word their violations. A dangling
+    slot makes every other check meaningless: the smallest one is reported
+    alone.
+    """
+    by_name = c.category.by_name
+    summands = c.summands
+    size = len(summands)
     out = [Violation("vertex", None, f"summand {i} sits on vertex {s.vertex}; the cores are Q0 and Q1")
-           for i, s in enumerate(c.summands) if s.vertex not in (0, 1)]
-    for (i, j), combo in sorted(c.delta.items()):
-        if not (0 <= i < len(c)) or not (0 <= j < len(c)):
-            # Nothing else is meaningful with dangling indices.
-            return [Violation("degree", (i, j), "entry indexes a missing summand")]
+           for i, s in enumerate(summands) if s.vertex not in (0, 1)]
+    # Top-class entries must stay n-1 positions above the bottom of the complex.
+    floor = c.min_position() + c.params.n - 1
+    dangling, flagged, reach = [], [], []
+    for slot, combo in c.delta.items():
+        i, j = slot
+        if not (0 <= i < size and 0 <= j < size):
+            dangling.append(slot)
+            continue
+        a, b = summands[i], summands[j]
+        if i == j:
+            flagged.append(slot)
+        else:
+            source, target, want = a.vertex, b.vertex, a.position - b.position + 1
+            for name in combo:
+                m = by_name.get(name)
+                if m is None or m.source != source or m.target != target or m.degree != want:
+                    flagged.append(slot)
+                    break
+        if a.position < floor and ("f0" in combo or "f1" in combo):
+            reach.append(slot)
+    if dangling:
+        return [Violation("degree", min(dangling), "entry indexes a missing summand")]
+
+    for i, j in sorted(flagged):
         if i == j:
             # Its basis names are still checked below, so an ill-typed loop is never squared.
             out.append(Violation("triangularity", (i, j), "self-loop entry"))
-        a, b = c.summands[i], c.summands[j]
+        a, b = summands[i], summands[j]
         want = c.entry_degree(i, j)
-        for name in sorted(combo):
-            m = cat.by_name.get(name)
+        for name in sorted(c.delta[i, j]):
+            m = by_name.get(name)
             if m is None or m.source != a.vertex or m.target != b.vertex:
                 out.append(Violation("degree", (i, j), f"{name} is not a morphism Q{a.vertex} -> Q{b.vertex}"))
             elif m.degree != want:
@@ -158,17 +212,13 @@ def validate(c: TwistedComplex) -> list[Violation]:
                     "degree", (i, j),
                     f"{name} has degree {m.degree}, slot {a}->{b} needs degree {want} for a total degree of 1"))
 
-    cycle = _find_cycle(len(c), c.delta.keys())
+    cycle = _find_cycle(size, c.delta.keys())
     if cycle:
         out.append(Violation("triangularity", None, "entry digraph has a cycle: " + " -> ".join(map(str, cycle))))
 
-    # Top-class entries must stay n-1 positions above the bottom of the complex.
-    if not c.is_empty:
-        floor = c.min_position() + n - 1
-        for (i, j), combo in sorted(c.delta.items()):
-            if any(name in ("f0", "f1") for name in combo) and c.summands[i].position < floor:
-                out.append(Violation("reach", (i, j), f"top-class entry leaves position {c.summands[i].position}, "
-                                                      f"below minimum+n-1 = {floor}"))
+    for i, j in sorted(reach):
+        out.append(Violation("reach", (i, j), f"top-class entry leaves position {summands[i].position}, "
+                                              f"below minimum+n-1 = {floor}"))
 
     # Composing needs well-typed entries on the two cores: an unknown or
     # mislabelled basis name or a stray vertex is reported above, not squared.
@@ -262,8 +312,11 @@ def require_same_params(c: TwistedComplex, d: TwistedComplex, what: str) -> None
 
 
 def shift(c: TwistedComplex, k: int) -> TwistedComplex:
-    """The shift c[k]: every position decreases by k, entries unchanged."""
-    return TwistedComplex(c.params, [Summand(s.vertex, s.position - k) for s in c.summands], c.delta)
+    """The shift c[k]: every position decreases by k, entries unchanged (copied)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ComplexError(f"shift amount must be an integer, got {k!r}")
+    delta = {slot: combo.copy() for slot, combo in c.delta.items()}
+    return _assemble(c.params, [Summand(s.vertex, s.position - k) for s in c.summands], delta)
 
 
 def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
@@ -275,23 +328,27 @@ def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
 
 
 def restrict(c: TwistedComplex, members: Sequence[int], delta=None) -> TwistedComplex:
-    """The summands at members, in that order, with the entries of delta (default c.delta) among them re-indexed."""
+    """
+    The summands at members, in that order, with the entries of delta among
+    them re-indexed. By default delta is c.delta, whose combos are copied. A
+    delta passed in must be clean (see TwistedComplex), and the result takes
+    over the combos it keeps, as minimize hands over its working delta.
+    """
     where = {old: new for new, old in enumerate(members)}
-    entries = {
-        (where[i], where[j]): combo
-        for (i, j), combo in (c.delta if delta is None else delta).items()
-        if i in where and j in where
-    }
-    return TwistedComplex(c.params, [c.summands[k] for k in members], entries)
+    if delta is None:
+        entries = {(where[i], where[j]): combo.copy() for (i, j), combo in c.delta.items() if i in where and j in where}
+    else:
+        entries = {(where[i], where[j]): combo for (i, j), combo in delta.items() if i in where and j in where}
+    return _assemble(c.params, [c.summands[k] for k in members], entries)
 
 
 def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
     require_same_params(c, d, "direct_sum")
     off = len(c)
-    delta = dict(c.delta)
+    delta = {slot: combo.copy() for slot, combo in c.delta.items()}
     for (i, j), combo in d.delta.items():
-        delta[(i + off, j + off)] = combo
-    return TwistedComplex(c.params, list(c.summands) + list(d.summands), delta)
+        delta[(i + off, j + off)] = combo.copy()
+    return _assemble(c.params, c.summands + d.summands, delta)
 
 
 # -- morphisms and hom complexes ------------------------------------------------------
@@ -366,13 +423,16 @@ class HomComplex:
                     raise ComplexError(f"hom complex: {side} summand {i} is {s!r}, off the cores Q0 and Q1")
 
         keep = None if self.window is None else self.window | {g + 1 for g in self.window}
+        spaces = {(u, v): [(m.degree, m.name) for m in cat.morphism_space(u, v)] for u in (0, 1) for v in (0, 1)}
+        targets = [(j, b.vertex, b.position) for j, b in enumerate(d.summands)]
         components: dict[int, list[Gen]] = {}
         for i, a in enumerate(c.summands):
-            for j, b in enumerate(d.summands):
-                for m in cat.morphism_space(a.vertex, b.vertex):
-                    g = m.degree - a.position + b.position
+            av, ap = a.vertex, a.position
+            for j, bv, bp in targets:
+                for degree, name in spaces[av, bv]:
+                    g = degree - ap + bp
                     if keep is None or g in keep:
-                        components.setdefault(g, []).append((i, j, m.name))
+                        components.setdefault(g, []).append((i, j, name))
         self.components = {g: tuple(gens) for g, gens in sorted(components.items())}
         self.index = {gen: (g, k) for g, gens in self.components.items() for k, gen in enumerate(gens)}
 
@@ -520,14 +580,13 @@ def cone(f: Morphism) -> TwistedComplex:
     p = c.params.field.characteristic
     summands = [Summand(s.vertex, s.position - 1) for s in c.summands] + list(d.summands)
     off = len(c)
-    delta: dict[tuple[int, int], Combo] = {}
-    for (i, j), combo in c.delta.items():
-        delta[(i, j)] = axpy({}, combo, -1, p)
-    for (i, j), combo in f.comps.items():
-        delta[(i, off + j)] = dict(combo)
+    delta = {slot: axpy({}, combo, -1, p) for slot, combo in c.delta.items()}
+    # A public Morphism may carry zeros or values outside the field's canonical range.
+    for (i, j), combo in _cleaned(c.params.field, f.comps).items():
+        delta[(i, off + j)] = combo
     for (i, j), combo in d.delta.items():
-        delta[(off + i, off + j)] = dict(combo)
-    return TwistedComplex(c.params, summands, delta)
+        delta[(off + i, off + j)] = combo.copy()
+    return _assemble(c.params, summands, delta)
 
 
 # -- Gaussian-elimination minimal model -----------------------------------------------

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .complexes import (
     TwistedComplex,
+    _assemble,
     hf_ranks,
     minimize,
     require_valid,
@@ -86,7 +87,7 @@ def specialize(c: TwistedComplex, cover: CoverSpec) -> TwistedComplex:
         kept = {name: coeff for name, coeff in combo.items() if name != dead}
         if kept:
             delta[slot] = kept
-    out = TwistedComplex(c.params, c.summands, delta)
+    out = _assemble(c.params, c.summands, delta)
     require_valid(out, "specialized complex")
     return out
 

@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .complexes import (
     Summand,
     TwistedComplex,
+    _assemble,
     hf_ranks,
     minimize,
     require_valid,
@@ -151,7 +152,7 @@ def relabel(c: TwistedComplex) -> TwistedComplex:
         for s in c.summands
     ]
     delta = {slot: {_RELABEL[name]: coeff for name, coeff in combo.items()} for slot, combo in c.delta.items()}
-    return TwistedComplex(c.params, summands, delta)
+    return _assemble(c.params, summands, delta)
 
 
 # -- structural checks from the case analysis --------------------------------------------

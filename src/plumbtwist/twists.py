@@ -87,11 +87,12 @@ def invert_word(word: BraidWord) -> BraidWord:
 
 def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     """Apply the twist along Q_vertex (power=+1) or its inverse (power=-1)."""
-    require_valid(c, "twist input")
+    # The letter first: validating a long complex costs far more than these two checks.
     if power not in (1, -1):
         raise ValueError(f"twist power must be +1 or -1, got {power}")
     if not isinstance(vertex, int) or isinstance(vertex, bool) or vertex not in (0, 1):
         raise ValueError(f"twist vertex must be 0 or 1, got {vertex!r}")
+    require_valid(c, "twist input")
     forward = power == 1
     core = single_core(c.params, vertex)
     hom = hom_complex(core, c) if forward else hom_complex(c, core)
@@ -106,7 +107,8 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     copies = TwistedComplex(c.params, summands)
     if forward:
         return minimize(cone(Morphism(copies, c, 0, comps)))
-    return minimize(shift(cone(Morphism(c, copies, 0, comps)), -1))
+    # A uniform shift changes neither the order minimize keeps nor the slots it cancels, so shift after it.
+    return shift(minimize(cone(Morphism(c, copies, 0, comps))), -1)
 
 
 def apply_letter(letter: BraidLetter, c: TwistedComplex) -> TwistedComplex:

@@ -142,6 +142,14 @@ def test_shift_round_trip(P):
     assert back.summands == c.summands and back.delta == c.delta
 
 
+def test_shift_refuses_a_non_integer_or_bool_amount(P):
+    # The library builds the shifted complex without re-checking it, so a float position would go unnoticed.
+    c = two_term_twist_of_q1(P)
+    for k in (1.5, 1.0, True, False, "1", None):
+        with pytest.raises(ComplexError, match="shift amount must be an integer"):
+            shift(c, k)
+
+
 def test_shift_moves_hf_degrees(P):
     q0 = single_core(P, 0)
     base = hf_ranks(q0, q0)

@@ -66,6 +66,19 @@ def test_twist_refuses_bad_vertex_and_power(P):
             twist(q0, vertex, power)
 
 
+def test_twist_checks_the_letter_before_validating(P, monkeypatch):
+    # An invalid complex with a bad letter: the letter is refused, and validate never runs.
+    broken = complexes.TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(0, 1): {"q": 1}})
+
+    def refuse(c):
+        raise AssertionError("validate ran before the letter was checked")
+
+    monkeypatch.setattr(complexes, "validate", refuse)
+    for vertex, power, word in ((0, 2, "power"), (2, 1, "vertex"), (True, 1, "vertex")):
+        with pytest.raises(ValueError, match=f"twist {word} must be"):
+            twist(broken, vertex, power)
+
+
 def test_twist_of_other_core_is_two_term_complex(P):
     got = twist(single_core(P, 1), 0, 1)
     assert got.summands == (Summand(0, 0), Summand(1, 0))
