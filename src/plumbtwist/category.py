@@ -49,13 +49,17 @@ def _intermediate_name(degree: int, index: int, count: int) -> str:
 
 class CategoryParams(Immutable):
     """
-    Validated parameters: dimension n >= 3, coefficient field, Betti vector
-    of Q0. Equal and hashed like the tuple (n, field, betti0).
+    Parameters checked by validate_params: dimension n >= 3, coefficient
+    field, Betti vector of Q0. Equal and hashed like the tuple (n, field, betti0).
     """
 
     def __init__(self, n: int, field: Field | None = None, betti0: tuple[int, ...] | None = None):
+        field = Field() if field is None else field
+        betti0 = None if betti0 is None else tuple(betti0)
+        if problems := validate_params(n, field.characteristic, betti0):
+            raise ParameterError("; ".join(problems))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "field", Field() if field is None else field)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "betti0", betti0)
 
     def __eq__(self, other):
@@ -114,10 +118,10 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
 
 
 def make_params(n: int, characteristic: int = 32003, betti0=None) -> CategoryParams:
-    problems = validate_params(n, characteristic, betti0)
-    if problems:
+    betti0 = None if betti0 is None else tuple(betti0)
+    if problems := validate_params(n, characteristic, betti0):
         raise ParameterError("; ".join(problems))
-    return CategoryParams(n=n, field=Field(characteristic), betti0=tuple(betti0) if betti0 is not None else None)
+    return CategoryParams(n=n, field=Field(characteristic), betti0=betti0)
 
 
 class BasisProducts(dict):

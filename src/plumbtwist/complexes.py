@@ -634,11 +634,13 @@ INCONCLUSIVE = "inconclusive"
 
 def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     """
-    Sound three-valued quasi-isomorphism test: minimize both, compare summand
-    multisets, then search the space of closed degree-0 maps for one whose
-    cone minimizes to the empty complex. Never returns a wrong yes/no.
+    Sound three-valued quasi-isomorphism test: validate and minimize both,
+    compare summand multisets, then search the closed degree-0 maps for one
+    whose cone minimizes to the empty complex. Never returns a wrong yes/no.
     """
     require_same_params(c, d, "equivalent")
+    require_valid(c, "equivalent's first input")
+    require_valid(d, "equivalent's second input")
     cm = minimize(c)
     dm = minimize(d)
     if cm.summand_multiset() != dm.summand_multiset():

@@ -16,11 +16,10 @@ largest indices of the image vectors (the cocycle route of hom complexes
 reads both; kernel_basis only the kernel). graded_ranks turns the sparse
 columns of a graded differential into cohomology ranks (hom complexes, the
 cotangent-fibre pairing), and invertible_combinations samples an affine
-family of sparse square blocks for invertible members (the
-quasi-isomorphism oracle). It first compares the term rank of the blocks'
-union support (term_rank, a maximum matching) with the size: below it,
-every member is singular and nothing is sampled. Otherwise it tries the
-all-ones point, then seeded random points, then, over fields of fewer than
+family of sparse square blocks for invertible members (the quasi-isomorphism
+oracle). When the blocks' union support misses a row or a column, every
+member is singular and nothing is sampled. Otherwise it tries the all-ones
+point, then seeded random points, then, over fields of fewer than
 SMALL_FIELD_BOUND elements, a sweep of a 2-parameter sub-family. The dense
 Matrix is a thin view of already-canonical entries that keeps only the
 members the traced benchmark reads; its rref and det_nonzero run on
@@ -166,14 +165,16 @@ Vector = dict  # {key: field element}, zero values never stored; keys are indice
 
 
 def axpy(v: Vector, row: Vector, a, p: int, pivots=None, heap=None) -> Vector:
-    """v += a * row in place over F_p (p = 0: the rationals), dropping zeros; returns v.
+    """v += a * row in place over F_p (p = 0: the rationals), storing no zeros; returns v.
     Keys that become nonzero and are keys of pivots are pushed on heap."""
     for k, x in row.items():
         y = v.get(k)
         if y is None:
-            v[k] = a * x % p if p else a * x
-            if heap is not None and k in pivots:
-                heappush(heap, k)
+            y = a * x % p if p else a * x
+            if y:
+                v[k] = y
+                if heap is not None and k in pivots:
+                    heappush(heap, k)
         else:
             y = (y + a * x) % p if p else y + a * x
             if y:
@@ -364,55 +365,16 @@ def candidate_coefficients(field: Field, count: int, seed: int) -> Iterator[tupl
             yield t
 
 
-def term_rank(support: Iterable[tuple[int, int]]) -> int:
-    """
-    The term rank of a support of (row, col) positions: the largest number of
-    them with no two in one row or one column, a maximum matching of rows to
-    columns. Each row in turn looks for an augmenting path depth first, on an
-    explicit stack (sizes reach thousands), and matched maps each matched
-    column to its row, so flipping a path costs its length. A square matrix
-    whose entries lie in the support is singular, whatever they are, when
-    the term rank is below its size (Edmonds 1967).
-    """
-    adj: dict[int, list[int]] = {}
-    for r, s in support:
-        adj.setdefault(r, []).append(s)
-    matched: dict[int, int] = {}
-    for root in adj:
-        seen: set[int] = set()
-        path_rows = [root]
-        path_cols: list[int] = []  # path_cols[k] leaves path_rows[k]
-        stack = [iter(adj[root])]
-        while stack:
-            for s in stack[-1]:
-                if s not in seen:
-                    break
-            else:  # a dead end: back up one row
-                stack.pop()
-                path_rows.pop()
-                if path_cols:
-                    path_cols.pop()
-                continue
-            seen.add(s)
-            path_cols.append(s)
-            r = matched.get(s)
-            if r is None:
-                matched.update(zip(path_cols, path_rows))
-                break
-            path_rows.append(r)
-            stack.append(iter(adj[r]))
-    return len(matched)
-
-
 def invertible_combinations(field: Field, size: int, blocks: Sequence[Vector], seed: int = 0) -> Iterator[tuple]:
     """
     The coefficient tuples from candidate_coefficients, in order, whose
     combination sum(c_i * blocks[i]) of sparse size x size blocks
     {(row, col): value} is invertible. Every combination lies on the union
-    of the blocks' supports, so when its term rank is below size none is
+    of the blocks' supports, so when it misses a row or a column none is
     and nothing is tried; otherwise each candidate costs one det_nonzero.
     """
-    if term_rank(set().union(*blocks)) < size:
+    support = set().union(*blocks)
+    if len({r for r, _ in support}) < size or len({s for _, s in support}) < size:
         return
     p = field.characteristic
     for coeffs in candidate_coefficients(field, len(blocks), seed):

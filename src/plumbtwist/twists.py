@@ -116,7 +116,8 @@ def apply_letter(letter: BraidLetter, c: TwistedComplex) -> TwistedComplex:
 
 
 def apply_braid(word, c: TwistedComplex) -> TwistedComplex:
-    """Left-to-right fold of twist over the word; output is minimized."""
+    """Left-to-right fold of twist over the word; output is minimized. Trusts c: it is
+    minimized before the first twist validates it, so an invalid c can pass unseen."""
     if isinstance(word, str):
         word = parse_word(word)
     out = minimize(c)
@@ -146,7 +147,7 @@ def braid_images(c: TwistedComplex, max_length: int):
     (word, apply_braid(word, c)) for every word of length 1..max_length,
     shortest first and in itertools.product(LETTERS, repeat=length) order
     within one length. Each image is its prefix's image twisted once, and
-    only the images along the current prefix are held.
+    only the images along the current prefix are held. Trusts c, as apply_braid does.
     """
     def extend(word, image, length):
         if len(word) == length:

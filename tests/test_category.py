@@ -6,11 +6,13 @@ from plumbtwist.category import (
     MAX_CHARACTERISTIC,
     MAX_N,
     Category,
+    CategoryParams,
     ParameterError,
     category_for,
     make_params,
     validate_params,
 )
+from plumbtwist.linalg import Field
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +160,19 @@ def test_validate_params_accepts_and_rejects():
         make_params(3, 32003, (1, True, True, 1))
     with pytest.raises(ParameterError):
         make_params(2)
+
+
+def test_category_params_refuses_what_make_params_refuses():
+    for n, betti0 in ((2, None), (3, (1, 7, 1)), (4, (1, 1, 0, 0, 1)), (3, (1, True, True, 1))):
+        with pytest.raises(ParameterError) as direct:
+            CategoryParams(n, Field(), betti0)
+        with pytest.raises(ParameterError) as made:
+            make_params(n, 32003, betti0)
+        assert str(direct.value) == str(made.value)
+    for n, characteristic, betti0 in ((3, 32003, None), (4, 0, [1, 0, 2, 0, 1]), (3, 2, (1, 0, 0, 1))):
+        direct = CategoryParams(n, Field(characteristic), betti0)
+        assert direct.betti0 == (None if betti0 is None else tuple(betti0))
+        assert direct == make_params(n, characteristic, betti0)
+        assert hash(direct) == hash(make_params(n, characteristic, betti0))
+    assert CategoryParams(3) == make_params(3)
+    assert make_params(3, 2, iter([1, 0, 0, 1])) == CategoryParams(3, Field(2), iter([1, 0, 0, 1]))

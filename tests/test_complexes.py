@@ -223,8 +223,7 @@ def test_hf_ranks_of_cores(P):
 def test_hom_layer_names_a_summand_off_the_two_cores():
     P = make_params(3)
     q0, q2 = single_core(P, 0), single_core(P, 2)
-    for call, side in ((lambda: hf_ranks(q2, q2), "source"), (lambda: equivalent(q2, q2), "source"),
-                       (lambda: hf_ranks(q0, q2), "target")):
+    for call, side in ((lambda: hf_ranks(q2, q2), "source"), (lambda: hf_ranks(q0, q2), "target")):
         with pytest.raises(ComplexError, match=f"{side} summand 0 is Q2@0"):
             call()
 
@@ -294,6 +293,14 @@ def test_cone_of_p_arrow_is_twisted_q1(P):
     want = two_term_twist_of_q1(P)
     assert got.summands == want.summands
     assert got.delta == want.delta
+
+
+def test_a_zero_term_leaves_no_zero_in_the_differential(P):
+    c = two_term_twist_of_q1(P)
+    zero_term = Morphism(c, c, 0, {(0, 0): {"e0": 0}})
+    assert zero_term.differential().comps == {}
+    got, want = cone(zero_term), cone(Morphism(c, c, 0, {}))
+    assert got.summands == want.summands and got.delta == want.delta
 
 
 def test_cone_rejects_non_closed_and_wrong_degree(P):
@@ -390,6 +397,20 @@ def test_equivalent_distinguishes_connected_from_split():
     assert validate(joined) == []
     assert equivalent(joined, split) == INCONCLUSIVE
     assert hf_ranks(joined, single_core(P, 0)) != hf_ranks(split, single_core(P, 0))
+
+
+def test_equivalent_validates_both_inputs_first():
+    # bad minimizes to the empty complex, so without validation it would be "equivalent" to it.
+    P = make_params(3)
+    bad = TwistedComplex(P, [Summand(0, 0), Summand(0, 0)], {(0, 1): {"e0": 1}, (1, 0): {"e0": 1}})
+    assert {v.kind for v in validate(bad)} == {"degree", "triangularity"}
+    assert minimize(bad).is_empty
+    empty, q2 = empty_complex(P), single_core(P, 2)
+    for a, b, which in ((bad, empty, "first"), (empty, bad, "second"), (q2, q2, "first")):
+        with pytest.raises(ComplexError, match=f"equivalent's {which} input fails validation"):
+            equivalent(a, b)
+    with pytest.raises(ComplexError, match="summand 0 sits on vertex 2"):
+        equivalent(q2, q2)
 
 
 def test_equivalent_tries_no_candidate_on_cover_pairs(det_nonzero_calls):

@@ -8,13 +8,11 @@ written here, over F_2, F_5, F_32003
 and Q, on random sparse and dense matrices including 0-row and 0-column
 shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
 The sparse hom-complex columns are compared with the differential of each
-generator computed by Morphism.differential. term_rank is compared with an
-exhaustive search over partial assignments, invertible_combinations with the
-unpruned sampling loop, and the one-elimination cocycle route with the
-two-elimination route it replaced, both kept here.
+generator computed by Morphism.differential. invertible_combinations is
+compared with the unpruned sampling loop, and the one-elimination cocycle
+route with the two-elimination route it replaced, both kept here.
 """
 
-import functools
 import random
 from fractions import Fraction
 
@@ -34,7 +32,6 @@ from plumbtwist.linalg import (
     invertible_combinations,
     kernel_and_image_tops,
     kernel_basis,
-    term_rank,
 )
 from plumbtwist.twists import LETTERS, apply_braid
 
@@ -305,42 +302,16 @@ def assert_columns_are_differentials(h):
             assert [dense.entries[r][k] for r in range(dense.rows)] == [want.get(r, field.zero) for r in range(len(nxt))]
 
 
-# -- term rank and the oracle's candidate search ------------------------------------------------
+# -- the oracle's candidate search ------------------------------------------------
 
 
-def brute_force_term_rank(size, support):
-    """The most support positions no two in a row or column, over every partial assignment of rows to columns."""
-
-    @functools.cache
-    def best(row, used):
-        if row == size:
-            return 0
-        taken = [1 + best(row + 1, used | 1 << s) for s in range(size) if (row, s) in support and not used >> s & 1]
-        return max([best(row + 1, used)] + taken)
-
-    return best(0, 0)
-
-
-def test_term_rank_matches_exhaustive_search():
-    rng = random.Random(1967)
-    for _ in range(3000):
-        size = rng.randint(0, 6)
-        density = rng.choice((0.1, 0.25, 0.5))
-        support = {(r, s) for r in range(size) for s in range(size) if rng.random() < density}
-        assert term_rank(support) == brute_force_term_rank(size, support)
-
-
-def test_term_rank_of_a_long_path_needs_no_recursion():
-    # Row r sees columns r and r + 1, listed so that every row first takes the
-    # column its successor needs: the last row's augmenting path flips all of them.
-    size = 5000
-    support = [(r, r + 1) for r in range(size - 1)] + [(r, r) for r in range(size)]
-    assert term_rank(support) == size
-    assert term_rank(support[: size - 1] + [(r, r) for r in range(1, size)]) == size - 1
+def covers_every_line(size, support):
+    """Whether the (row, col) positions of support meet every row and every column of a size x size matrix."""
+    return {r for r, _ in support} == {s for _, s in support} == set(range(size))
 
 
 def unpruned_invertible_combinations(field, size, blocks, seed=0):
-    """The sampling loop without the term-rank exit, each candidate decided by reference_rref."""
+    """The sampling loop without the covered-lines exit, each candidate decided by reference_rref."""
     for coeffs in candidate_coefficients(field, len(blocks), seed):
         m = [[field.zero] * size for _ in range(size)]
         for c, block in zip(coeffs, blocks):
@@ -370,7 +341,7 @@ def test_invertible_combinations_match_the_unpruned_loop(characteristic, det_non
         before = len(det_nonzero_calls)
         assert list(invertible_combinations(field, size, blocks, 5)) == list(
             unpruned_invertible_combinations(field, size, blocks, 5))
-        if term_rank(set().union(*blocks)) < size:
+        if not covers_every_line(size, set().union(*blocks)):
             assert len(det_nonzero_calls) == before
             pruned += 1
         else:
@@ -380,12 +351,26 @@ def test_invertible_combinations_match_the_unpruned_loop(characteristic, det_non
 
 @pytest.mark.parametrize("characteristic", (2, 3, 32003, 0), ids=["F2", "F3", "F32003", "Q"])
 def test_invertible_combinations_test_a_singular_family_of_full_term_rank(characteristic, det_nonzero_calls):
-    # c * [[1, 1], [1, 1]] is singular for every c, though its support has term rank 2.
+    # c * [[1, 1], [1, 1]] is singular for every c, though its support covers every row and column.
     field = Field(characteristic)
     ones = {(r, s): field.one for r in range(2) for s in range(2)}
-    assert term_rank(ones) == 2
+    assert covers_every_line(2, ones)
     assert list(invertible_combinations(field, 2, [ones], 9)) == []
     assert len(det_nonzero_calls) == len(list(candidate_coefficients(field, 1, 9)))
+
+
+@pytest.mark.parametrize("characteristic", (2, 3, 32003, 0), ids=["F2", "F3", "F32003", "Q"])
+def test_invertible_combinations_test_a_covering_support_with_no_perfect_matching(characteristic, det_nonzero_calls):
+    # Rows 0 and 1 meet only column 0, so every member is singular, yet every
+    # row and column is covered: the candidates are tested and none is yielded.
+    field = Field(characteristic)
+    rng = random.Random(characteristic)
+    support = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
+    assert covers_every_line(3, support)
+    blocks = [{pos: field.random_element(rng) or field.one for pos in support[k::2]} for k in range(2)]
+    assert list(invertible_combinations(field, 3, blocks, 4)) == list(
+        unpruned_invertible_combinations(field, 3, blocks, 4)) == []
+    assert det_nonzero_calls == [3] * len(list(candidate_coefficients(field, 2, 4)))
 
 
 # -- cocycle representatives from one elimination per degree ----------------------------------

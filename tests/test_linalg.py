@@ -14,6 +14,7 @@ from plumbtwist.linalg import (
     Field,
     FieldError,
     Matrix,
+    axpy,
     candidate_coefficients,
     echelon_of,
     invertible_combinations,
@@ -149,6 +150,14 @@ def test_candidate_coefficients_stream(field):
         if field.characteristic not in range(1, linalg.SMALL_FIELD_BOUND):
             assert len(stream) <= SAMPLE_BUDGET
     assert list(candidate_coefficients(field, 0, 7)) == [()]
+
+
+def test_axpy_adds_no_key_whose_product_vanishes(field):
+    p, one = field.characteristic, field.one
+    heap = []
+    assert axpy({"a": one}, {"a": one, "b": one}, field.zero, p, {"b": {}}, heap) == {"a": one}
+    assert axpy({"a": one}, {"b": field.zero, "c": one}, one, p, {"b": {}}, heap) == {"a": one, "c": one}
+    assert heap == []
 
 
 def test_invertible_combinations_zero_family(field):
