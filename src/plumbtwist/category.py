@@ -19,7 +19,7 @@ twisted complex is plain matrix squaring.
 
 from __future__ import annotations
 
-from .linalg import MAX_CHARACTERISTIC, Field, Immutable, axpy, is_prime
+from .linalg import MAX_CHARACTERISTIC, Field, FieldError, Immutable, axpy, is_int  # MAX_CHARACTERISTIC: re-exported
 
 
 class ParameterError(ValueError):
@@ -55,6 +55,8 @@ class CategoryParams(Immutable):
 
     def __init__(self, n: int, field: Field | None = None, betti0: tuple[int, ...] | None = None):
         field = Field() if field is None else field
+        if not isinstance(field, Field):
+            raise ParameterError(f"field must be a Field, got {field!r}")
         betti0 = None if betti0 is None else tuple(betti0)
         if problems := validate_params(n, field.characteristic, betti0):
             raise ParameterError("; ".join(problems))
@@ -90,30 +92,41 @@ MAX_N = 10_000
 MAX_BETTI = 10_000
 
 
+def is_vertex(value) -> bool:
+    """The vertex rule: the int 0 or 1, naming Q0 or Q1."""
+    return is_int(value) and value in (0, 1)
+
+
+def betti_problem(b: tuple) -> str | None:
+    """Why b is no Betti vector of a closed core, or None: nonnegative ints with b^0 = b^n = 1."""
+    if not all(is_int(v) and v >= 0 for v in b):
+        return "betti entries must be nonnegative integers"
+    if b[0] != 1 or b[-1] != 1:
+        return f"betti vector needs b^0 = b^n = 1 (got b^0={b[0]}, b^n={b[-1]})"
+    return None
+
+
 def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
     """Every reason the given parameters are rejected; empty means ok."""
     problems = []
-    if not isinstance(n, int) or n < 3:
+    if not is_int(n) or n < 3:
         problems.append(f"n must be an integer >= 3 (got {n}): below that, higher products are not guaranteed to vanish")
     elif n > MAX_N:
         problems.append(f"n must be at most {MAX_N} (got {n})")
-    if characteristic > MAX_CHARACTERISTIC:
-        problems.append(f"characteristic must be at most {MAX_CHARACTERISTIC} (got {characteristic})")
-    elif isinstance(characteristic, bool) or characteristic != 0 and not is_prime(characteristic):
-        problems.append(f"characteristic must be 0 or prime (got {characteristic})")
-    if betti0 is not None and isinstance(n, int) and n >= 1:
+    try:
+        Field(characteristic)
+    except FieldError as exc:
+        problems.append(str(exc))
+    if betti0 is not None and is_int(n) and n >= 1:
         b = tuple(betti0)
         if len(b) != n + 1:
             problems.append(f"betti vector must have n+1 = {n + 1} entries (got {len(b)})")
-        else:
-            if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in b):
-                problems.append("betti entries must be nonnegative integers")
-            elif b[0] != 1 or b[n] != 1:
-                problems.append(f"betti vector needs b^0 = b^n = 1 (got b^0={b[0]}, b^n={b[n]})")
-            elif any(b[d] != b[n - d] for d in range(n + 1)):
-                problems.append("betti vector must be palindromic (duality pairs degree d with n-d)")
-            elif sum(b[1:n]) > MAX_BETTI:
-                problems.append(f"betti vector's interior entries must total at most {MAX_BETTI} (got {sum(b[1:n])})")
+        elif problem := betti_problem(b):
+            problems.append(problem)
+        elif any(b[d] != b[n - d] for d in range(n + 1)):
+            problems.append("betti vector must be palindromic (duality pairs degree d with n-d)")
+        elif sum(b[1:n]) > MAX_BETTI:
+            problems.append(f"betti vector's interior entries must total at most {MAX_BETTI} (got {sum(b[1:n])})")
     return problems
 
 

@@ -18,7 +18,7 @@ import hashlib
 import sys
 import time
 
-from .category import ParameterError, make_params, spherical_betti
+from .category import make_params, spherical_betti
 from .complexes import equivalent, hf_ranks, single_core, total_rank
 from .covers import (
     INFINITE,
@@ -70,8 +70,6 @@ def _load_complex(path: str, documents: list[str]):
         return parse_complex(text)
     except ValidationRejection as exc:
         raise CliFailure(REJECTED, "validation-error", str(exc)) from exc
-    except DocumentError as exc:
-        raise CliFailure(USAGE, "schema-error", str(exc)) from exc
 
 
 def _digest(*chunks: str) -> str:
@@ -154,8 +152,6 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
                     for v in exc.violations
                 ],
             }, REJECTED
-        except DocumentError as exc:
-            raise CliFailure(USAGE, "schema-error", str(exc)) from exc
         return {"ok": True, "violations": []}, OK
 
     if cmd == "hf":
@@ -176,11 +172,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
 
     if cmd == "braid":
         c = _load_complex(args.infile, documents)
-        try:
-            word = parse_word(args.word)
-        except ValueError as exc:
-            raise CliFailure(USAGE, "usage-error", str(exc)) from exc
-        return {"complex": complex_to_dict(apply_braid(word, c))}, OK
+        return {"complex": complex_to_dict(apply_braid(parse_word(args.word), c))}, OK
 
     if cmd == "normalize":
         c = _load_complex(args.infile, documents)
@@ -264,10 +256,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
 
 def _params_from_args(args):
     betti0 = _parse_betti(args.betti0) if args.betti0 else None
-    try:
-        return make_params(args.n, args.char, betti0)
-    except ParameterError as exc:
-        raise CliFailure(USAGE, "usage-error", str(exc)) from exc
+    return make_params(args.n, args.char, betti0)
 
 
 def main(argv=None) -> int:
@@ -282,7 +271,9 @@ def main(argv=None) -> int:
         payload, code = run(args, documents)
     except CliFailure as exc:
         payload, code = {"error": exc.reason, "detail": exc.detail}, exc.code
-    except (ParameterError, ValueError) as exc:
+    except DocumentError as exc:
+        payload, code = {"error": "schema-error", "detail": str(exc)}, USAGE
+    except ValueError as exc:  # ParameterError included
         payload, code = {"error": "usage-error", "detail": str(exc)}, USAGE
 
     def render(payload) -> str:

@@ -22,9 +22,9 @@ import functools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .category import Category, CategoryParams, category_for
-from .linalg import (Immutable, Matrix, Vector, axpy, graded_ranks, invertible_combinations, kernel_and_image_tops,
-                     kernel_basis)
+from .category import Category, CategoryParams, category_for, is_vertex
+from .linalg import (Immutable, Matrix, Vector, axpy, graded_ranks, invertible_combinations, is_int,
+                     kernel_and_image_tops, kernel_basis)
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -53,7 +53,7 @@ class ComplexError(ValueError):
 
 
 class Violation(NamedTuple):
-    kind: str  # "vertex", "degree", "triangularity", "maurer-cartan", "reach"
+    kind: str  # "vertex", "position", "degree", "triangularity", "maurer-cartan", "reach"
     slot: tuple[int, int] | None
     message: str
 
@@ -146,7 +146,7 @@ def _assemble(params: CategoryParams, summands: Sequence[Summand], delta) -> Twi
 def single_core(params: CategoryParams, vertex: int, position: int = 0) -> TwistedComplex:
     # Summand, built in hot loops, checks nothing: a bool would be written out as "vertex": true.
     for what, value in (("vertex", vertex), ("position", position)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise ComplexError(f"single_core {what} must be an integer, got {value!r}")
     return TwistedComplex(params, [Summand(vertex, position)])
 
@@ -165,15 +165,20 @@ def validate(c: TwistedComplex) -> list[Violation]:
     One unsorted scan over delta flags the slots that are dangling, carry a
     self-loop, an unknown or mislabelled basis name or a wrong degree, or
     let a top-class entry reach too low; only the flagged slots are then
-    walked again, in sorted order, to word their violations. A dangling
-    slot makes every other check meaningless: the smallest one is reported
-    alone.
+    walked again, in sorted order, to word their violations. A position
+    that is not an int, or a dangling slot, makes every other check
+    meaningless: the first such summand, or the smallest such slot, is
+    reported alone.
     """
     by_name = c.category.by_name
     summands = c.summands
     size = len(summands)
-    out = [Violation("vertex", None, f"summand {i} sits on vertex {s.vertex}; the cores are Q0 and Q1")
-           for i, s in enumerate(summands) if s.vertex not in (0, 1)]
+    out = []
+    for i, s in enumerate(summands):
+        if not is_vertex(s.vertex):
+            out.append(Violation("vertex", None, f"summand {i} sits on vertex {s.vertex!r}; the cores are Q0 and Q1"))
+        if not is_int(s.position):
+            return [Violation("position", None, f"summand {i} sits at position {s.position!r}, not an integer")]
     # Top-class entries must stay n-1 positions above the bottom of the complex.
     floor = c.min_position() + c.params.n - 1
     dangling, flagged, reach = [], [], []
@@ -313,7 +318,7 @@ def require_same_params(c: TwistedComplex, d: TwistedComplex, what: str) -> None
 
 def shift(c: TwistedComplex, k: int) -> TwistedComplex:
     """The shift c[k]: every position decreases by k, entries unchanged (copied)."""
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not is_int(k):
         raise ComplexError(f"shift amount must be an integer, got {k!r}")
     delta = {slot: combo.copy() for slot, combo in c.delta.items()}
     return _assemble(c.params, [Summand(s.vertex, s.position - k) for s in c.summands], delta)
@@ -327,18 +332,10 @@ def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
     return shift(c, k), k
 
 
-def restrict(c: TwistedComplex, members: Sequence[int], delta=None) -> TwistedComplex:
-    """
-    The summands at members, in that order, with the entries of delta among
-    them re-indexed. By default delta is c.delta, whose combos are copied. A
-    delta passed in must be clean (see TwistedComplex), and the result takes
-    over the combos it keeps, as minimize hands over its working delta.
-    """
+def restrict(c: TwistedComplex, members: Sequence[int]) -> TwistedComplex:
+    """The summands at members, in that order, with the entries of delta among them re-indexed and copied."""
     where = {old: new for new, old in enumerate(members)}
-    if delta is None:
-        entries = {(where[i], where[j]): combo.copy() for (i, j), combo in c.delta.items() if i in where and j in where}
-    else:
-        entries = {(where[i], where[j]): combo for (i, j), combo in delta.items() if i in where and j in where}
+    entries = {(where[i], where[j]): combo.copy() for (i, j), combo in c.delta.items() if i in where and j in where}
     return _assemble(c.params, [c.summands[k] for k in members], entries)
 
 
@@ -419,7 +416,7 @@ class HomComplex:
         cat = c.category
         for side, x in (("source", c), ("target", d)):
             for i, s in enumerate(x.summands):
-                if s.vertex not in (0, 1):
+                if not is_vertex(s.vertex):
                     raise ComplexError(f"hom complex: {side} summand {i} is {s!r}, off the cores Q0 and Q1")
 
         keep = None if self.window is None else self.window | {g + 1 for g in self.window}
@@ -622,7 +619,10 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
             del delta[key]
 
     order = sorted(alive, key=lambda i: (-c.summands[i].position, c.summands[i].vertex, i))
-    return restrict(c, order, delta)
+    # Every slot left in delta joins two survivors, so it takes the working combos over.
+    where = {old: new for new, old in enumerate(order)}
+    delta = {(where[i], where[j]): combo for (i, j), combo in delta.items()}
+    return _assemble(c.params, [c.summands[k] for k in order], delta)
 
 
 # -- quasi-isomorphism oracle -----------------------------------------------------------

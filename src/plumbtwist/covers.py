@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .category import betti_problem, is_vertex
 from .complexes import (
     TwistedComplex,
     _assemble,
@@ -33,7 +34,7 @@ from .complexes import (
     total_rank,
     validate,
 )
-from .linalg import graded_ranks
+from .linalg import graded_ranks, is_int, make_checked
 from .normalizer import admissible
 
 
@@ -53,18 +54,14 @@ class CoverSpec(_CoverSpec):
     """A connected cover of one core: finite of the given index, or infinite."""
 
     __slots__ = ()
+    _make = make_checked
 
     def __new__(cls, covered_vertex: int, index: int | str = INFINITE):
-        if isinstance(covered_vertex, bool) or covered_vertex not in (0, 1):
-            raise CoverError(f"covered_vertex must be 0 or 1, got {covered_vertex}")
-        if index != INFINITE and (not isinstance(index, int) or isinstance(index, bool) or index < 1):
+        if not is_vertex(covered_vertex):
+            raise CoverError(f"covered_vertex must be 0 or 1, got {covered_vertex!r}")
+        if index != INFINITE and (not is_int(index) or index < 1):
             raise CoverError(f"index must be a positive integer or '{INFINITE}', got {index!r}")
         return super().__new__(cls, covered_vertex, index)
-
-    @classmethod
-    def _make(cls, iterable) -> "CoverSpec":
-        """Through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
     def compatible_with(self, characteristic: int) -> bool:
         if self.index == INFINITE:
@@ -158,21 +155,14 @@ class _BettiVector(NamedTuple):
 
 class BettiVector(_BettiVector):
     __slots__ = ()
+    _make = make_checked
 
     def __new__(cls, numbers: tuple[int, ...]):
-        b = numbers
-        if len(b) < 2:
+        if len(numbers) < 2:
             raise CoverError("a Betti vector needs at least degrees 0 and n")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in b):
-            raise CoverError("Betti numbers must be nonnegative integers")
-        if b[0] != 1 or b[-1] != 1:
-            raise CoverError(f"need b^0 = b^n = 1, got b^0={b[0]}, b^n={b[-1]}")
+        if problem := betti_problem(numbers):
+            raise CoverError(problem)
         return super().__new__(cls, numbers)
-
-    @classmethod
-    def _make(cls, iterable) -> "BettiVector":
-        """Through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
     @property
     def n(self) -> int:

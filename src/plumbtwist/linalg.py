@@ -32,26 +32,24 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division by the odd numbers up to the square root of m."""
+    return m == 2 or m > 2 and m % 2 == 1 and all(m % d for d in range(3, isqrt(m) + 1, 2))
 
 
 DEFAULT_PRIME = 32003
 # Primality is checked by trial division, which at this bound takes milliseconds
 # and above it can take hours; larger characteristics are refused first.
 MAX_CHARACTERISTIC = 2**31 - 1
+
+
+def is_int(value) -> bool:
+    """The package's one integer predicate: an int, and neither a bool nor a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class FieldError(ValueError):
@@ -74,18 +72,26 @@ class Immutable:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
+# The _make of a NamedTuple record that checks its fields in __new__: through
+# __new__, so _make and _replace (which calls _make) check them too.
+make_checked = classmethod(lambda cls, iterable: cls(*iterable))
+
+
 class Field(Immutable):
     """
     A prime field F_p (characteristic p) or the rationals (characteristic 0),
-    equal and hashed like the tuple (characteristic,).
+    equal and hashed like the tuple (characteristic,). The constructor holds
+    the characteristic rule, which validate_params applies too.
     """
 
     def __init__(self, characteristic: int = DEFAULT_PRIME):
         c = characteristic
+        if not is_int(c):
+            raise FieldError(f"characteristic must be an integer, 0 or prime (got {c!r})")
         if c > MAX_CHARACTERISTIC:
-            raise FieldError(f"characteristic must be at most {MAX_CHARACTERISTIC}, got {c}")
-        if isinstance(c, bool) or c != 0 and not is_prime(c):
-            raise FieldError(f"characteristic must be 0 or prime, got {c}")
+            raise FieldError(f"characteristic must be at most {MAX_CHARACTERISTIC} (got {c})")
+        if c != 0 and not is_prime(c):
+            raise FieldError(f"characteristic must be 0 or prime (got {c})")
         object.__setattr__(self, "characteristic", c)
 
     def __eq__(self, other):
@@ -103,7 +109,7 @@ class Field(Immutable):
 
     def element(self, value) -> int | Fraction:
         """Coerce an int, Fraction or 'num/den' string into a field element."""
-        if isinstance(value, (bool, float)):
+        if not (is_int(value) or isinstance(value, (Fraction, str))):
             raise FieldError(f"field elements come from ints, Fractions or decimal strings, not {value!r}")
         if isinstance(value, str):
             if "/" in value:

@@ -17,7 +17,7 @@ import re
 
 from .category import CategoryParams, ParameterError, make_params
 from .complexes import Summand, TwistedComplex, Violation, validate
-from .linalg import axpy
+from .linalg import axpy, is_int
 
 
 class DocumentError(ValueError):
@@ -43,20 +43,15 @@ def params_to_dict(params: CategoryParams) -> dict:
 COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: bools and floats do not count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def params_from_dict(doc: dict) -> CategoryParams:
     for key in ("n", "char"):
         if key not in doc:
             raise DocumentError(f"document is missing the required field {key!r}")
-        if not _is_int(doc[key]):
+        if not is_int(doc[key]):
             raise DocumentError(f"field {key!r} must be an integer, got {doc[key]!r}")
     betti0 = doc.get("betti0")
     if betti0 is not None:
-        if not isinstance(betti0, list) or not all(_is_int(v) for v in betti0):
+        if not isinstance(betti0, list) or not all(is_int(v) for v in betti0):
             raise DocumentError("betti0 must be a list of integers")
         betti0 = tuple(betti0)
     try:
@@ -87,7 +82,7 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
         raise DocumentError("field 'summands' must be a list")
     summands = []
     for k, item in enumerate(raw_summands):
-        if not isinstance(item, dict) or not _is_int(item.get("vertex")) or not _is_int(item.get("position")):
+        if not isinstance(item, dict) or not is_int(item.get("vertex")) or not is_int(item.get("position")):
             raise DocumentError(f"summand {k} must be an object with integer 'vertex' and 'position'")
         if item["vertex"] not in (0, 1):
             raise DocumentError(f"summand {k} has vertex {item['vertex']}, expected 0 or 1")
@@ -105,13 +100,13 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
             coeff = item["coeff"]
         except KeyError as exc:
             raise DocumentError(f"differential entry {k} is missing {exc.args[0]!r}") from exc
-        if not _is_int(i) or not _is_int(j):
+        if not is_int(i) or not is_int(j):
             raise DocumentError(f"differential entry {k}: 'from' and 'to' must be summand indices")
         if not (0 <= i < len(summands)) or not (0 <= j < len(summands)):
             raise DocumentError(f"differential entry {k}: summand index out of range ({i} -> {j})")
         if not isinstance(basis, str):
             raise DocumentError(f"differential entry {k}: 'basis' must be a string")
-        if not (_is_int(coeff) or isinstance(coeff, str) and COEFFICIENT.fullmatch(coeff)):
+        if not (is_int(coeff) or isinstance(coeff, str) and COEFFICIENT.fullmatch(coeff)):
             raise DocumentError(f"differential entry {k}: coefficient {coeff!r} must be an integer or a decimal string")
         try:
             value = field.element(coeff)

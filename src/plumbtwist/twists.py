@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .category import make_params
+from .category import is_vertex, make_params
 from .complexes import (
     Morphism,
     Summand,
@@ -32,6 +32,7 @@ from .complexes import (
     shift,
     single_core,
 )
+from .linalg import is_int, make_checked
 
 
 class _BraidLetter(NamedTuple):
@@ -39,18 +40,19 @@ class _BraidLetter(NamedTuple):
     power: int  # +1 or -1
 
 
+def is_power(value) -> bool:
+    """The power rule: the int +1 (a twist) or -1 (its inverse)."""
+    return is_int(value) and value in (1, -1)
+
+
 class BraidLetter(_BraidLetter):
     __slots__ = ()
+    _make = make_checked
 
     def __new__(cls, vertex: int, power: int):
-        if isinstance(vertex, bool) or isinstance(power, bool) or vertex not in (0, 1) or power not in (1, -1):
+        if not (is_vertex(vertex) and is_power(power)):
             raise ValueError(f"bad braid letter ({vertex}, {power})")
         return super().__new__(cls, vertex, power)
-
-    @classmethod
-    def _make(cls, iterable) -> "BraidLetter":
-        """Through __new__, so _make and _replace validate too."""
-        return cls(*iterable)
 
     def inverse(self) -> "BraidLetter":
         return BraidLetter(self.vertex, -self.power)
@@ -88,9 +90,9 @@ def invert_word(word: BraidWord) -> BraidWord:
 def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     """Apply the twist along Q_vertex (power=+1) or its inverse (power=-1)."""
     # The letter first: validating a long complex costs far more than these two checks.
-    if power not in (1, -1):
-        raise ValueError(f"twist power must be +1 or -1, got {power}")
-    if not isinstance(vertex, int) or isinstance(vertex, bool) or vertex not in (0, 1):
+    if not is_power(power):
+        raise ValueError(f"twist power must be +1 or -1, got {power!r}")
+    if not is_vertex(vertex):
         raise ValueError(f"twist vertex must be 0 or 1, got {vertex!r}")
     require_valid(c, "twist input")
     forward = power == 1

@@ -61,7 +61,7 @@ def test_twist_shift_law(P):
 
 def test_twist_refuses_bad_vertex_and_power(P):
     q0 = single_core(P, 0)
-    for vertex, power in ((2, 1), (-1, 1), (0, 2), (True, 1), (False, -1), (1.0, 1)):
+    for vertex, power in ((2, 1), (-1, 1), (0, 2), (True, 1), (False, -1), (1.0, 1), (0, True), (0, 1.0)):
         with pytest.raises(ValueError):
             twist(q0, vertex, power)
 
