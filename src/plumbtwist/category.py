@@ -49,8 +49,8 @@ def _intermediate_name(degree: int, index: int, count: int) -> str:
 
 class CategoryParams(Immutable):
     """
-    Parameters checked by validate_params: dimension n >= 3, coefficient
-    field, Betti vector of Q0. Equal and hashed like the tuple (n, field, betti0).
+    Dimension n >= 3, coefficient field (checked when it was built) and Betti vector
+    of Q0, with validate_params' messages. Equal and hashed like the tuple (n, field, betti0).
     """
 
     def __init__(self, n: int, field: Field | None = None, betti0: tuple[int, ...] | None = None):
@@ -58,7 +58,7 @@ class CategoryParams(Immutable):
         if not isinstance(field, Field):
             raise ParameterError(f"field must be a Field, got {field!r}")
         betti0 = None if betti0 is None else tuple(betti0)
-        if problems := validate_params(n, field.characteristic, betti0):
+        if problems := _problems(n, None, betti0):
             raise ParameterError("; ".join(problems))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "field", field)
@@ -106,17 +106,15 @@ def betti_problem(b: tuple) -> str | None:
     return None
 
 
-def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
-    """Every reason the given parameters are rejected; empty means ok."""
+def _problems(n: int, field_problem: str | None, betti0) -> list[str]:
+    """Every reason n and betti0 are rejected, with the characteristic's field_problem between them."""
     problems = []
     if not is_int(n) or n < 3:
         problems.append(f"n must be an integer >= 3 (got {n}): below that, higher products are not guaranteed to vanish")
     elif n > MAX_N:
         problems.append(f"n must be at most {MAX_N} (got {n})")
-    try:
-        Field(characteristic)
-    except FieldError as exc:
-        problems.append(str(exc))
+    if field_problem:
+        problems.append(field_problem)
     if betti0 is not None and is_int(n) and n >= 1:
         b = tuple(betti0)
         if len(b) != n + 1:
@@ -130,11 +128,21 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
     return problems
 
 
+def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
+    """Every reason the given parameters are rejected; empty means ok."""
+    try:
+        Field(characteristic)
+    except FieldError as exc:
+        return _problems(n, str(exc), betti0)
+    return _problems(n, None, betti0)
+
+
 def make_params(n: int, characteristic: int = 32003, betti0=None) -> CategoryParams:
-    betti0 = None if betti0 is None else tuple(betti0)
-    if problems := validate_params(n, characteristic, betti0):
-        raise ParameterError("; ".join(problems))
-    return CategoryParams(n=n, field=Field(characteristic), betti0=betti0)
+    try:
+        field = Field(characteristic)
+    except FieldError as exc:
+        raise ParameterError("; ".join(_problems(n, str(exc), betti0))) from None
+    return CategoryParams(n, field, betti0)
 
 
 class BasisProducts(dict):

@@ -72,6 +72,18 @@ def _load_complex(path: str, documents: list[str]):
         raise CliFailure(REJECTED, "validation-error", str(exc)) from exc
 
 
+def _load_pair(args, documents: list[str]):
+    """The complexes at --a and --b, refused unless they carry the same category parameters."""
+    a, b = _load_complex(args.a, documents), _load_complex(args.b, documents)
+    if a.params != b.params:
+        raise CliFailure(USAGE, "usage-error", "the two complexes carry different category parameters")
+    return a, b
+
+
+def _ranks_payload(ranks: dict[int, int]) -> dict:
+    return {"ranks": {str(k): v for k, v in sorted(ranks.items())}, "total": total_rank(ranks)}
+
+
 def _digest(*chunks: str) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -97,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for the quasi-isomorphism search; only equiv reads it")
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     parser.add_argument("--timing", action="store_true", help="report wall time on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
-
+    add = parser.add_subparsers(dest="command", required=True).add_parser
     p = add("validate", help="check a complex document")
     p.add_argument("--in", dest="infile", required=True)
     p = add("hf", help="cohomology ranks of the hom complex between two complexes")
@@ -155,12 +163,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return {"ok": True, "violations": []}, OK
 
     if cmd == "hf":
-        a = _load_complex(args.a, documents)
-        b = _load_complex(args.b, documents)
-        if a.params != b.params:
-            raise CliFailure(USAGE, "usage-error", "the two complexes carry different category parameters")
-        ranks = hf_ranks(a, b)
-        return {"ranks": {str(k): v for k, v in sorted(ranks.items())}, "total": total_rank(ranks)}, OK
+        return _ranks_payload(hf_ranks(*_load_pair(args, documents))), OK
 
     if cmd == "twist":
         c = _load_complex(args.infile, documents)
@@ -185,11 +188,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return {"certificate": cert.to_dict()}, OK
 
     if cmd == "equiv":
-        a = _load_complex(args.a, documents)
-        b = _load_complex(args.b, documents)
-        if a.params != b.params:
-            raise CliFailure(USAGE, "usage-error", "the two complexes carry different category parameters")
-        return {"verdict": equivalent(a, b, seed=args.seed)}, OK
+        return {"verdict": equivalent(*_load_pair(args, documents), seed=args.seed)}, OK
 
     if cmd == "specialize":
         c = _load_complex(args.infile, documents)
@@ -210,9 +209,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return {"pieces": [complex_to_dict(p) for p in decompose(c)]}, OK
 
     if cmd == "fibre-rank":
-        c = _load_complex(args.infile, documents)
-        ranks = fibre_rank(c, args.vertex)
-        return {"ranks": {str(k): v for k, v in sorted(ranks.items())}, "total": total_rank(ranks)}, OK
+        return _ranks_payload(fibre_rank(_load_complex(args.infile, documents), args.vertex)), OK
 
     if cmd == "feasibility":
         betti = _parse_betti(args.betti)

@@ -162,13 +162,13 @@ def validate(c: TwistedComplex) -> list[Violation]:
     """
     All invariant violations; an empty list means the complex is well-formed.
 
-    One unsorted scan over delta flags the slots that are dangling, carry a
-    self-loop, an unknown or mislabelled basis name or a wrong degree, or
-    let a top-class entry reach too low; only the flagged slots are then
-    walked again, in sorted order, to word their violations. A position
-    that is not an int, or a dangling slot, makes every other check
-    meaningless: the first such summand, or the smallest such slot, is
-    reported alone.
+    One unsorted scan over delta words every violation it finds: a
+    self-loop, or a basis name that is unknown, mislabelled or of the wrong
+    degree for its slot, recorded under (slot, name) and sorted once after
+    the scan, with a self-loop's under (slot,), which sorts first. A
+    position that is not an int, or a dangling slot, makes every other
+    check meaningless: the first such summand, or the smallest such slot,
+    is reported alone.
     """
     by_name = c.category.by_name
     summands = c.summands
@@ -181,41 +181,30 @@ def validate(c: TwistedComplex) -> list[Violation]:
             return [Violation("position", None, f"summand {i} sits at position {s.position!r}, not an integer")]
     # Top-class entries must stay n-1 positions above the bottom of the complex.
     floor = c.min_position() + c.params.n - 1
-    dangling, flagged, reach = [], [], []
+    dangling, found, reach = [], {}, []
     for slot, combo in c.delta.items():
         i, j = slot
         if not (0 <= i < size and 0 <= j < size):
             dangling.append(slot)
             continue
         a, b = summands[i], summands[j]
+        source, target, want = a.vertex, b.vertex, a.position - b.position + 1
         if i == j:
-            flagged.append(slot)
-        else:
-            source, target, want = a.vertex, b.vertex, a.position - b.position + 1
-            for name in combo:
-                m = by_name.get(name)
-                if m is None or m.source != source or m.target != target or m.degree != want:
-                    flagged.append(slot)
-                    break
+            # Its basis names are still checked, so an ill-typed loop is never squared.
+            found[(slot,)] = Violation("triangularity", slot, "self-loop entry")
+        for name in combo:
+            m = by_name.get(name)
+            if m is None or m.source != source or m.target != target:
+                found[slot, name] = Violation("degree", slot, f"{name} is not a morphism Q{source} -> Q{target}")
+            elif m.degree != want:
+                found[slot, name] = Violation(
+                    "degree", slot,
+                    f"{name} has degree {m.degree}, slot {a}->{b} needs degree {want} for a total degree of 1")
         if a.position < floor and ("f0" in combo or "f1" in combo):
             reach.append(slot)
     if dangling:
         return [Violation("degree", min(dangling), "entry indexes a missing summand")]
-
-    for i, j in sorted(flagged):
-        if i == j:
-            # Its basis names are still checked below, so an ill-typed loop is never squared.
-            out.append(Violation("triangularity", (i, j), "self-loop entry"))
-        a, b = summands[i], summands[j]
-        want = c.entry_degree(i, j)
-        for name in sorted(c.delta[i, j]):
-            m = by_name.get(name)
-            if m is None or m.source != a.vertex or m.target != b.vertex:
-                out.append(Violation("degree", (i, j), f"{name} is not a morphism Q{a.vertex} -> Q{b.vertex}"))
-            elif m.degree != want:
-                out.append(Violation(
-                    "degree", (i, j),
-                    f"{name} has degree {m.degree}, slot {a}->{b} needs degree {want} for a total degree of 1"))
+    out.extend(found[key] for key in sorted(found))
 
     cycle = _find_cycle(size, c.delta.keys())
     if cycle:

@@ -182,14 +182,7 @@ class FeasibilityReport(NamedTuple):
     annotation: str
 
     def to_dict(self) -> dict:
-        return {
-            "betti": list(self.betti),
-            "beta": self.beta,
-            "feasible": self.feasible,
-            "min_dimv": self.min_dimv,
-            "boundary_ranks": self.boundary_ranks,
-            "annotation": self.annotation,
-        }
+        return self._asdict() | {"betti": list(self.betti)}
 
 
 def truncation_feasibility(betti: BettiVector | tuple[int, ...]) -> FeasibilityReport:
@@ -233,15 +226,6 @@ class BoundaryRankReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.total_rank_is_two and self.ends_are_simple
-
-    def to_dict(self) -> dict:
-        return {
-            "hf_against_core": {str(k): v for k, v in sorted(self.hf_against_core.items())},
-            "total_rank": self.total_rank,
-            "total_rank_is_two": self.total_rank_is_two,
-            "end_multiplicities": list(self.end_multiplicities),
-            "ends_are_simple": self.ends_are_simple,
-        }
 
 
 def boundary_rank_check(c: TwistedComplex) -> BoundaryRankReport:

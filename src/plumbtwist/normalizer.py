@@ -300,21 +300,8 @@ class Certificate(NamedTuple):
     trace: tuple[TraceEntry, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "word": word_to_string(self.word),
-            "target_vertex": self.target_vertex,
-            "shift": self.shift,
-            "multiplicity": self.multiplicity,
-            "trace": [
-                {
-                    "letters": word_to_string(t.letters),
-                    "case": t.case,
-                    "cx_before": t.cx_before,
-                    "cx_after": t.cx_after,
-                }
-                for t in self.trace
-            ],
-        }
+        trace = [t._asdict() | {"letters": word_to_string(t.letters)} for t in self.trace]
+        return self._asdict() | {"word": word_to_string(self.word), "trace": trace}
 
 
 def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) -> Certificate:

@@ -12,7 +12,8 @@ from plumbtwist.category import (
     make_params,
     validate_params,
 )
-from plumbtwist.linalg import Field
+from plumbtwist import linalg
+from plumbtwist.linalg import Field, is_prime
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +177,28 @@ def test_category_params_refuses_what_make_params_refuses():
         assert hash(direct) == hash(make_params(n, characteristic, betti0))
     assert CategoryParams(3) == make_params(3)
     assert make_params(3, 2, iter([1, 0, 0, 1])) == CategoryParams(3, Field(2), iter([1, 0, 0, 1]))
+
+
+def test_make_params_trial_divides_the_characteristic_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(linalg, "is_prime", counted)
+    assert make_params(3, MAX_CHARACTERISTIC).field.characteristic == MAX_CHARACTERISTIC
+    assert calls == [MAX_CHARACTERISTIC]
+    n_message = "n must be an integer >= 3 (got 2): below that, higher products are not guaranteed to vanish"
+    for args, message in (
+        ((2, 4), f"{n_message}; characteristic must be 0 or prime (got 4)"),
+        ((3, 4), "characteristic must be 0 or prime (got 4)"),
+        ((2, 4, (1, 0, 1)), f"{n_message}; characteristic must be 0 or prime (got 4)"),
+        ((2, 4, (1, 0, 2)),
+         f"{n_message}; characteristic must be 0 or prime (got 4); betti vector needs b^0 = b^n = 1 (got b^0=1, b^n=2)"),
+    ):
+        calls.clear()
+        with pytest.raises(ParameterError) as err:
+            make_params(*args)
+        assert str(err.value) == message
+        assert calls == [4]

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -516,3 +518,19 @@ def test_cli_refuses_betti_over_the_bound_before_any_category(tmp_path, capsys, 
     refused = [outs[0], json.loads(outs[1])["outputs"]]
     assert [out["error"] for out in refused] == ["schema-error", "usage-error"]
     assert all(f"total at most {MAX_BETTI} (got {MAX_BETTI + 1})" in out["detail"] for out in refused)
+
+
+@pytest.mark.parametrize("betti", ["1,0,0,1", "2,0,0,1"])
+def test_cli_timing_writes_one_stderr_line_and_leaves_the_report_alone(capsys, betti):
+    argv = ["feasibility", "--betti", betti]
+    plain_code = main(argv)
+    plain = capsys.readouterr()
+    timed_code = main(["--timing", *argv])
+    timed = capsys.readouterr()
+    assert timed_code == plain_code
+    assert plain.err == ""
+    assert re.fullmatch(r"wall_time_ms=\d+\n", timed.err)
+    # The inputs digest covers the arguments, --timing among them; every other byte is the same.
+    digest = hashlib.sha256(json.dumps(["--timing", *argv], separators=(",", ":")).encode() + b"\x00").hexdigest()
+    assert json.loads(timed.out)["inputs"] == digest
+    assert timed.out.replace(digest, json.loads(plain.out)["inputs"]) == plain.out
