@@ -8,7 +8,8 @@ inadmissible input, incompatible cover, exhausted orbit search), 2 on usage
 or schema errors and on an --out path that cannot be written.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
 goes to stderr and only with --timing. A report's "inputs" field is the
-sha256 of the arguments and of the text of every document the command read.
+sha256 of the arguments, --timing left out, and of the text of every
+document the command read.
 """
 
 from __future__ import annotations
@@ -90,6 +91,15 @@ def _digest(*chunks: str) -> str:
         h.update(chunk.encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
+
+
+def _without_timing(argv) -> list[str]:
+    """
+    argv without the --timing flag, in each prefix of it that argparse
+    accepts ('--t' and up): no other option starts with '--t', and argparse
+    reads no value that starts with '--', so such a token is the flag.
+    """
+    return [arg for arg in argv if not (len(arg) > 2 and "--timing".startswith(arg))]
 
 
 def _parse_betti(text: str) -> tuple[int, ...]:
@@ -276,7 +286,7 @@ def main(argv=None) -> int:
     def render(payload) -> str:
         if isinstance(payload, str):
             return payload  # CSV output
-        inputs = _digest(canonical_json(sys.argv[1:] if argv is None else list(argv)), *documents)
+        inputs = _digest(canonical_json(_without_timing(sys.argv[1:] if argv is None else argv)), *documents)
         return canonical_json({"command": args.command, "inputs": inputs, "outputs": payload}) + "\n"
 
     text = render(payload)

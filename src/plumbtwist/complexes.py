@@ -63,7 +63,9 @@ class TwistedComplex:
     Summands plus a strictly triangular degree-1 differential.
 
     delta is always clean: every combo is nonzero, holds only nonzero
-    canonical field values (an int in [0, p), or a Fraction over Q), and is
+    canonical field values (an int in [0, p); over Q an int, or a Fraction
+    for a value that is not whole, though Fraction arithmetic in a library
+    construction may leave a whole value boxed, equal to its int), and is
     a dict owned by this complex alone. The constructor establishes that for
     outside input (the parser, user code) by coercing every value into the
     field. The library's own constructions (shift, restrict, direct_sum,
@@ -124,8 +126,11 @@ def _cleaned(field, delta) -> dict[tuple[int, int], Combo]:
     for slot, combo in delta.items():
         kept = {}
         for name, c in combo.items():
-            # Coerce only non-canonical values; re-wrapping every Fraction would slow the Q path.
-            canonical = type(c) is int and 0 <= c < p if p else type(c) is Fraction
+            # Coerce only non-canonical values: an int in [0, p); over Q an int, or a Fraction that is not whole.
+            if p:
+                canonical = type(c) is int and 0 <= c < p
+            else:
+                canonical = type(c) is int or type(c) is Fraction and c.denominator != 1
             value = c if canonical else element(c)
             if value:
                 kept[name] = value

@@ -1,9 +1,13 @@
 """
 Exact scalar and matrix arithmetic over a prime field or the rationals.
 
-Scalars are plain Python objects: ints in [0, p) for characteristic p, and
-fractions.Fraction for characteristic 0. A Field instance owns the arithmetic,
-so values stay cheap to hash and copy. There is no floating point anywhere in
+Scalars are plain Python objects: ints in [0, p) for characteristic p; over
+the rationals (characteristic 0) an int for a whole value and a
+fractions.Fraction only for one that is not, so the unit coefficients that
+fill most complexes cost int arithmetic on every field. A Field instance owns
+the arithmetic and is the one place a Fraction is built. Arithmetic on two
+Fractions can still give a whole-valued Fraction; it equals and hashes like
+its int, so nothing normalizes it. There is no floating point anywhere in
 this package.
 
 Vectors are sparse {key: value} dicts with no zero values, and axpy is the
@@ -107,38 +111,43 @@ class Field(Immutable):
 
     # -- element construction ------------------------------------------------
 
+    # Every field's one and zero, plain ints.
+    zero = 0
+    one = 1
+
     def element(self, value) -> int | Fraction:
-        """Coerce an int, Fraction or 'num/den' string into a field element."""
-        if not (is_int(value) or isinstance(value, (Fraction, str))):
-            raise FieldError(f"field elements come from ints, Fractions or decimal strings, not {value!r}")
+        """
+        Coerce an int, Fraction or 'num/den' string into a field element: an
+        int in [0, p) over F_p; over Q an int when the value is whole and a
+        Fraction only when it is not. A string that is no such number raises
+        FieldError.
+        """
         if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/", 1)
-                value = Fraction(int(num), int(den))
-            else:
-                value = int(value)
-        if self.characteristic == 0:
-            return Fraction(value)
+            try:
+                num, slash, den = value.partition("/")
+                value = Fraction(int(num), int(den)) if slash else int(num)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FieldError(f"{value!r} is not an integer or a 'num/den' fraction: {exc}") from exc
+        elif not (is_int(value) or isinstance(value, Fraction)):
+            raise FieldError(f"field elements come from ints, Fractions or decimal strings, not {value!r}")
+        p = self.characteristic
         if isinstance(value, Fraction):
-            if value.denominator % self.characteristic == 0:
-                raise FieldError(f"{value} has no image in F_{self.characteristic}")
-            return (value.numerator * pow(value.denominator, -1, self.characteristic)) % self.characteristic
-        return int(value) % self.characteristic
+            if value.denominator == 1:
+                value = value.numerator
+            elif not p:
+                return value
+            elif value.denominator % p == 0:
+                raise FieldError(f"{value} has no image in F_{p}")
+            else:
+                return value.numerator * pow(value.denominator, -1, p) % p
+        return int(value) % p if p else int(value)
 
     def format(self, value) -> str:
         """Render an element as a decimal string, 'num/den' over the rationals."""
         if self.characteristic == 0:
-            f = Fraction(value)
-            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+            n, d = value.numerator, value.denominator
+            return str(n) if d == 1 else f"{n}/{d}"
         return str(value % self.characteristic)
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -158,13 +167,14 @@ class Field(Immutable):
         if not a:
             raise ZeroDivisionError("inverting zero field element")
         if self.characteristic == 0:
-            return Fraction(1) / Fraction(a)
+            n, d = a.numerator, a.denominator
+            return d * n if n in (1, -1) else Fraction(d, n)  # d / n, an int when n is a unit
         return pow(int(a), -1, self.characteristic)
 
     def random_element(self, rng: random.Random):
         if self.characteristic:
             return rng.randrange(self.characteristic)
-        return Fraction(rng.randrange(-9, 10))
+        return rng.randrange(-9, 10)
 
 
 Vector = dict  # {key: field element}, zero values never stored; keys are indices, basis names or (row, col)

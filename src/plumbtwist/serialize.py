@@ -110,7 +110,7 @@ def complex_from_dict(doc: dict) -> TwistedComplex:
             raise DocumentError(f"differential entry {k}: coefficient {coeff!r} must be an integer or a decimal string")
         try:
             value = field.element(coeff)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:  # FieldError
             raise DocumentError(f"differential entry {k}: bad coefficient {coeff!r}: {exc}") from exc
         if value:
             axpy(delta.setdefault((i, j), {}), {basis: value}, 1, field.characteristic)

@@ -103,7 +103,8 @@ def matrices(draw):
             return field.zero
         if field.characteristic:
             return rng.randrange(field.characteristic)
-        return Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        # Through element, as the library's values are: ints where whole, Fractions where not.
+        return field.element(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
 
     entries = [[entry() for _ in range(cols)] for _ in range(rows)]
     # Duplicate and combine rows now and then, so ranks fall short of full.

@@ -1,14 +1,17 @@
+import ast
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
 import plumbtwist
 from plumbtwist import category, linalg
+from plumbtwist.complexes import Summand, TwistedComplex
 from plumbtwist.linalg import (
     SAMPLE_BUDGET,
     Field,
@@ -78,6 +81,62 @@ def test_element_coercion_and_format():
     assert fq.element("3/6") == Fraction(1, 2)
     assert fq.format(Fraction(-4, 8)) == "-1/2"
     assert fq.format(Fraction(6, 2)) == "3"
+
+
+def test_rational_whole_numbers_are_ints():
+    fq = Field(0)
+    for value in (3, "6/2", Fraction(4, 2), "-5", Fraction(-7, 1)):
+        x = fq.element(value)
+        assert type(x) is int and x == Fraction(value), value
+    for value in ("1/2", Fraction(-4, 6)):
+        assert type(fq.element(value)) is Fraction
+    inverses = [fq.inv(a) for a in (1, -1, Fraction(1, 3), Fraction(-1, 4), Fraction(1, 1))]
+    assert inverses == [1, -1, 3, -4, 1] and all(type(x) is int for x in inverses)
+    assert fq.inv(2) == Fraction(1, 2) and fq.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(fq.inv(Fraction(2, 1))) is Fraction
+    rng = random.Random(3)
+    assert all(type(fq.random_element(rng)) is int for _ in range(50))
+    for f in (fq, Field(5)):
+        assert (f.zero, f.one) == (0, 1) and type(f.zero) is type(f.one) is int
+
+
+@pytest.mark.parametrize("characteristic", [0, 5])
+def test_field_element_refuses_malformed_strings(characteristic):
+    # A zero denominator raised a bare ZeroDivisionError, a decimal point int()'s bare ValueError.
+    f = Field(characteristic)
+    for text in ("1/0", "-3/0", "3.5", "1/2/3", "3/", "/2", "", "x"):
+        with pytest.raises(FieldError, match="is not an integer or a 'num/den' fraction"):
+            f.element(text)
+    arrow = [Summand(0, 0), Summand(1, 0)]
+    with pytest.raises(FieldError, match="'1/0' is not"):
+        TwistedComplex(category.make_params(3, characteristic), arrow, {(0, 1): {"p": "1/0"}})
+
+
+def _fraction_calls(tree):
+    """(enclosing class name, line) of every call of Fraction, fractions.Fraction or a Fraction classmethod."""
+    found = []
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call) and "Fraction" in ast.unparse(node.func).split("."):
+            found.append((cls, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_field_builds_fractions():
+    # Whole numbers stay ints over Q: only Field decides when a value needs a Fraction.
+    package = Path(plumbtwist.__file__).parent
+    stray = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for cls, line in _fraction_calls(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, cls) != ("linalg.py", "Field")]
+    assert stray == [], "a Fraction built outside linalg.Field; call Field.element instead"
+    probe = "import fractions\nclass A:\n    x = Fraction(1)\ny = fractions.Fraction(2)\nz = Fraction.from_float(0.5)\n"
+    assert _fraction_calls(ast.parse(probe)) == [("A", 3), (None, 4), (None, 5)]
 
 
 IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

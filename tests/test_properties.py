@@ -11,10 +11,13 @@ hom's kernel out of degree 0, its cocycle representatives must be closed,
 as many as the cohomology ranks and independent modulo the coboundaries,
 and the quasi-isomorphism oracle must be symmetric.
 The alternating braid words must follow their Fibonacci closed forms from
-any shifted core, with the complex re-gauged before every twist.
+any shifted core, with the complex re-gauged before every twist. Over Q a
+whole value is an int; the same complex with its ints boxed as whole-valued
+Fractions must give the same braid images, ranks and certificates.
 """
 
 import json
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -36,8 +39,11 @@ from plumbtwist.complexes import (
 )
 from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.linalg import echelon_of
-from plumbtwist.serialize import DocumentError, ValidationRejection, parse_complex, serialize_complex
+from plumbtwist.normalizer import normalize
+from plumbtwist.serialize import DocumentError, ValidationRejection, complex_to_dict, parse_complex, serialize_complex
 from plumbtwist.twists import LETTERS, BraidLetter, apply_braid, apply_letter
+
+from conftest import random_word
 
 CHARACTERISTICS = (2, 32003, 0)
 
@@ -247,3 +253,32 @@ def test_alternating_words_follow_fibonacci_under_gauges(v, s, k, twist_first, c
     got = (len(c), sum(hf_ranks(cores[0], c).values()), sum(hf_ranks(cores[1], c).values()))
     f = _fibonacci
     assert got == ((f(2 * k + 1), f(2 * k), f(2 * k - 1)) if twist_first else (f(2 * k + 2), f(2 * k), f(2 * k + 1)))
+
+
+def _boxed(c):
+    """c with every int coefficient boxed as a whole-valued Fraction, past the constructor that would unbox it."""
+    out = TwistedComplex(c.params, c.summands)
+    out.delta = {slot: {name: Fraction(x) for name, x in combo.items()} for slot, combo in c.delta.items()}
+    return out
+
+
+def test_whole_fractions_and_ints_give_the_same_answers():
+    # Arithmetic on Fractions can leave a whole value boxed; it must equal and hash like its int.
+    params = make_params(3, 0)
+    cores = (single_core(params, 0), single_core(params, 1))
+    rng = random.Random(2020)
+    boxed_some = 0
+    for _ in range(40):
+        c = apply_braid(random_word(rng, 5, 2), cores[rng.randrange(2)])
+        if rng.random() < 0.3:
+            c = _gauge(c, rng)  # ints and non-whole Fractions mixed
+        boxed = _boxed(c)
+        values = [x for combo in boxed.delta.values() for x in combo.values()]
+        boxed_some += any(type(x) is Fraction and x.denominator == 1 for x in values)
+        word = random_word(rng, 3)
+        assert complex_to_dict(apply_braid(word, boxed)) == complex_to_dict(apply_braid(word, c))
+        for core in cores:
+            assert hf_ranks(core, boxed) == hf_ranks(core, c) and hf_ranks(boxed, core) == hf_ranks(c, core)
+        assert hf_ranks(boxed, boxed) == hf_ranks(c, c)
+        assert normalize(boxed).to_dict() == normalize(c).to_dict()
+    assert boxed_some >= 12  # 17 of the 40 complexes carry an int to box
