@@ -48,6 +48,7 @@ from .normalizer import (
     complexity,
     first_step_holds,
     normalize,
+    orbit_certificate,
     reduction_step,
     relabel,
 )

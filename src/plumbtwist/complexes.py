@@ -537,14 +537,34 @@ def hom_complex(c: TwistedComplex, d: TwistedComplex, degrees: Iterable[int] | N
     return HomComplex(c, d, degrees=degrees)
 
 
+# The shortest self-hom hf_ranks takes through the braid orbit; below about 13
+# summands the direct hom is the cheaper of the two.
+ORBIT_SELF_HOM_LEN = 20
+
+
 def hf_ranks(c: TwistedComplex, d: TwistedComplex) -> dict[int, int]:
     """
-    Degreewise cohomology ranks of the hom complex from c to d. Neither
-    complex is validated and D . D = 0 is not checked: the ranks are right
-    only when delta squares to zero on both, as validate ensures. An entry
-    of the wrong degree raises ComplexError, and a differential whose ranks
-    come out negative raises ValueError; other failures go unnoticed.
+    Degreewise cohomology ranks of the hom complex from c to d.
+
+    A self-hom (d is c, or equal to it) of at least ORBIT_SELF_HOM_LEN
+    summands goes through the braid orbit: if normalizer.orbit_certificate
+    finds T_w c = Q_v[s]^m, the ranks are those of the thin hom from m copies
+    of Q_v[s] to themselves, since T_w is an autoequivalence. Every other
+    pair, and every c without a certificate, takes the direct route,
+    hom_complex(c, d).cohomology_ranks(), which tests call for reference.
+    There neither complex is validated and D . D = 0 is not checked: the
+    ranks are right only when delta squares to zero on both, as validate
+    ensures. An entry of the wrong degree raises ComplexError, and a
+    differential whose ranks come out negative raises ValueError; other
+    failures go unnoticed.
     """
+    if len(c) >= ORBIT_SELF_HOM_LEN and (d is c or (c.params, c.summands, c.delta) == (d.params, d.summands, d.delta)):
+        # normalizer imports twists, which imports this module.
+        from .normalizer import orbit_certificate
+        cert = orbit_certificate(c)
+        if cert is not None:
+            copies = TwistedComplex(c.params, [Summand(cert.target_vertex, -cert.shift)] * cert.multiplicity)
+            return hom_complex(copies, copies).cohomology_ranks()
     return hom_complex(c, d).cohomology_ranks()
 
 

@@ -14,10 +14,14 @@ The base case, where the complex is too short for any top-class arrow, tries
 the same letters and accepts whichever works, with a bounded word search as
 a last resort.
 
-Certificates are never trusted from the trace: the word is re-applied to the
-original input, and a Certificate is returned only if the replay is copies
-of one shifted core with zero differential, on the nose. Twists are
-autoequivalences, so that replay is the proof; no oracle is asked.
+Certificates are never trusted from the trace. The reduction starts from
+minimize(c), the first call apply_braid(word, c) makes, and each step twists
+the previous step's result in its own frame, so the reduction's own twists
+are the application of the word to the input. A Certificate is returned only
+if that last result is copies of one shifted core with zero differential, on
+the nose. Twists are autoequivalences, so that result is the proof; no
+oracle is asked. orbit_certificate is the same run with every failure read
+as None.
 
 normalize does not test admissibility up front. Twists are autoequivalences,
 so a verified certificate c = T_w^-1(Q_v[s]^m) carries the admissible
@@ -34,16 +38,17 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .complexes import (
+    ComplexError,
     Summand,
     TwistedComplex,
     _assemble,
-    hf_ranks,
+    hom_complex,
     minimize,
     require_valid,
     shift_normalized,
 )
 from .linalg import echelon_of
-from .twists import BraidLetter, BraidWord, apply_braid, apply_letter, braid_images, word_to_string
+from .twists import BraidLetter, BraidWord, apply_letter, braid_images, word_to_string
 
 
 class NormalizeError(RuntimeError):
@@ -92,13 +97,18 @@ def complexity(c: TwistedComplex) -> ComplexityReport:
     if c.min_position() != 0:
         raise PreconditionViolated("complexity expects the lowest occupied position to be 0")
     u, v = c.profile()
-    weights = [slot_weight(0, i) for i in u] + [slot_weight(1, j) for j in v]
     return ComplexityReport(
         top_index=max(list(u) + list(v)),
         u_profile=tuple(sorted(u.items())),
         v_profile=tuple(sorted(v.items())),
-        cx=max(weights) - min(weights),
+        cx=_spread(c),
     )
+
+
+def _spread(c: TwistedComplex) -> int:
+    """The cx of a nonempty complex in any frame: a shift moves every slot weight by the same amount."""
+    weights = [slot_weight(s.vertex, s.position) for s in c.summands]
+    return max(weights) - min(weights)
 
 
 # -- admissibility ---------------------------------------------------------------------
@@ -110,8 +120,12 @@ class AdmissibleReport(NamedTuple):
 
 
 def admissible(c: TwistedComplex) -> AdmissibleReport:
-    """Whether the endomorphism cohomology is supported in degrees >= 0."""
-    ranks = hf_ranks(c, c)
+    """
+    Whether the endomorphism cohomology is supported in degrees >= 0. It reads
+    the direct hom: it runs when the reduction has failed, and hf_ranks would
+    try the same reduction again.
+    """
+    ranks = hom_complex(c, c).cohomology_ranks()
     bad = tuple(sorted((g, r) for g, r in ranks.items() if g < 0))
     return AdmissibleReport(ok=not bad, negative_degrees=bad)
 
@@ -217,11 +231,15 @@ class ReductionStep(NamedTuple):
 
 def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length: int = 3) -> ReductionStep:
     """
-    One complexity-lowering twist on a minimized, shift-normalized, admissible
-    complex with cx > 0. Raises NormalizerDeadEnd when the case dichotomy
-    fails and ComplexityNotReduced when the selected letter does not work.
+    One complexity-lowering twist on a minimized, nonempty, admissible complex
+    with cx > 0. Every decision is made on a shift-normalized copy of c; the
+    chosen letters are then applied to c itself, so result is in c's frame
+    and is no longer re-normalized: it is apply_braid(letters, c). Raises
+    NormalizerDeadEnd when the case dichotomy fails and ComplexityNotReduced
+    when the selected letter does not work.
     """
-    rep = complexity(c)
+    work, _ = shift_normalized(c)
+    rep = complexity(work)
     if rep.cx == 0:
         raise PreconditionViolated("reduction_step needs cx > 0")
     n = c.params.n
@@ -245,7 +263,7 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
 
     if top >= n - 1:
         if structural_checks:
-            defects = case_a_structure_defects(c if case_a else shift_normalized(relabel(c))[0])
+            defects = case_a_structure_defects(work if case_a else shift_normalized(relabel(work))[0])
             if defects:
                 context = "" if case_a else " after relabelling"
                 raise NormalizerDeadEnd(f"structure defects{context}: " + "; ".join(defects))
@@ -257,15 +275,16 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
                 else "case dichotomy fails after relabelling: both outer bands are occupied")
         else:
             letter, tag = choices[1]
-        result, _ = shift_normalized(apply_letter(letter, c))
-        after = complexity(result).cx
+        result = apply_letter(letter, c)
+        after = _spread(result)
         if after >= rep.cx:
             raise ComplexityNotReduced(
                 f"case {tag} letter {letter} raised cx {rep.cx} -> {after}; input was presumably inadmissible")
         return ReductionStep((letter,), tag, rep.cx, after, result)
 
     # Base case: the complex is too short for any top-class arrow. Try the two
-    # case letters, then fall back to a bounded word search.
+    # case letters, then fall back to a bounded word search. braid_images
+    # minimizes c first, which leaves a minimized c as it is.
     def candidates():
         for letter, tag in choices:
             yield (letter,), f"base-{tag}", apply_letter(letter, c)
@@ -273,9 +292,8 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
             yield word, "fallback", result
 
     for word, tag, result in candidates():
-        result, _ = shift_normalized(result)
         if not result.is_empty:
-            after = complexity(result).cx
+            after = _spread(result)
             if after < rep.cx:
                 return ReductionStep(word, tag, rep.cx, after, result)
     raise NormalizerDeadEnd(
@@ -307,21 +325,17 @@ class Certificate(NamedTuple):
 def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) -> Certificate:
     """
     Reduce an admissible complex to multiplicity many copies of one shifted
-    core; the returned certificate's word has been replayed on the input and
-    landed on those copies on the nose. An input that minimizes to the empty
-    complex lies in no core's orbit and raises PreconditionViolated at once.
-    Admissibility is computed only when the reduction fails: it then decides
-    between InadmissibleInput and the reduction's own error. seed is
-    ignored; it is kept for callers that still pass it.
+    core; the reduction's last twist is the certificate's word applied to
+    the input, and it landed on those copies on the nose. An input that
+    minimizes to the empty complex lies in no core's orbit and raises
+    PreconditionViolated at once. Admissibility is computed only when the
+    reduction fails: it then decides between InadmissibleInput and the
+    reduction's own error. seed is ignored; it is kept for callers that
+    still pass it.
     """
-    require_valid(c, "normalize input")
-    if c.is_empty:
-        raise PreconditionViolated("the empty complex lies in no core's orbit")
-    work, _ = shift_normalized(minimize(c))
-    if work.is_empty:
-        raise PreconditionViolated("the input is quasi-isomorphic to zero, so it lies in no core's orbit")
+    start = _start(c)
     try:
-        return _certify(c, work, structural_checks)
+        return _certify(start, structural_checks)
     except NormalizeError as exc:
         adm = admissible(c)
         if not adm.ok:
@@ -330,31 +344,62 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
         raise
 
 
-def _certify(c: TwistedComplex, work: TwistedComplex, structural_checks: bool) -> Certificate:
+def orbit_certificate(c: TwistedComplex) -> Certificate | None:
     """
-    The reduction of work, the nonempty minimized and shift-normalized c,
-    each step of which lowers cx and keeps it nonempty, then the certificate
-    replayed on c.
+    normalize's certificate for c, or None wherever normalize raises: an
+    invalid c, one that minimizes to zero, and one the reduction does not
+    certify. It never computes admissibility, so a None costs only the
+    attempted reduction. Over a non-spherical Q0 it is None at once: a twist
+    along Q0 is then no autoequivalence, so a certificate would carry no hom
+    over to c.
+    """
+    if not c.params.spherical:
+        return None
+    try:
+        return _certify(_start(c), True)
+    except (NormalizeError, ComplexError):
+        return None
+
+
+def _start(c: TwistedComplex) -> TwistedComplex:
+    """minimize(c), the first call apply_braid makes, for a valid c that is not zero."""
+    require_valid(c, "normalize input")
+    if c.is_empty:
+        raise PreconditionViolated("the empty complex lies in no core's orbit")
+    start = minimize(c)
+    if start.is_empty:
+        raise PreconditionViolated("the input is quasi-isomorphic to zero, so it lies in no core's orbit")
+    return start
+
+
+def _certify(start: TwistedComplex, structural_checks: bool) -> Certificate:
+    """
+    The reduction of start = minimize(c), each step of which lowers cx and
+    keeps it nonempty, checked on its last result. Each step twists the
+    previous result in its own frame, so the last result is
+    apply_braid(word, c), made by the calls apply_braid makes: minimize(c),
+    then one twist per letter. A base-case fallback word's images come from
+    braid_images(current, ...), which minimizes current first; minimize is
+    idempotent, so they are the same images.
     """
     trace: list[TraceEntry] = []
-    cx = complexity(work).cx
+    current, cx = start, _spread(start)
     while cx > 0:
-        step = reduction_step(work, structural_checks=structural_checks)
+        step = reduction_step(current, structural_checks=structural_checks)
         trace.append(TraceEntry(step.letters, step.case, step.cx_before, step.cx_after))
-        work, cx = step.result, step.cx_after
+        current, cx = step.result, step.cx_after
 
     word = tuple(letter for entry in trace for letter in entry.letters)
-    final = apply_braid(word, c)
     # One (vertex, position) class and no differential is Q_v[s]^m itself, so
-    # the identity is the quasi-isomorphism: the replay is the whole check.
-    classes = {(s.vertex, s.position) for s in final.summands}
-    if len(classes) != 1 or final.delta:
-        raise CertificateError(f"word {word_to_string(word)} did not land on copies of one shifted core: {final}")
+    # the identity is the quasi-isomorphism: this result is the whole check.
+    classes = {(s.vertex, s.position) for s in current.summands}
+    if len(classes) != 1 or current.delta:
+        raise CertificateError(f"word {word_to_string(word)} did not land on copies of one shifted core: {current}")
     vertex, position = classes.pop()
     return Certificate(
         word=word,
         target_vertex=vertex,
         shift=-position,
-        multiplicity=len(final),
+        multiplicity=len(current),
         trace=tuple(trace),
     )

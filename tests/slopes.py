@@ -10,6 +10,14 @@ hf(Q1, .) total rank |q|; a 0 there means the image is a shifted copy of
 that core, whose self-hom has total rank 2. Floer ranks between braid images
 of cores count minimal intersections of arcs (Khovanov-Seidel,
 arXiv:math/0006056), and these are the slopes of those arcs.
+
+pair_total extends this to any two braid images: for slopes (p, q) and
+(r, s), hf(c, d) has total rank |ps - qr|, or 2 when that is 0 (then d is
+a shift of c). This is conjectural here. The arcs presumably lift, in the
+double cover of the disc branched over its marked points (a torus), to
+closed curves of slopes p/q and r/s, which meet |ps - qr| times; a curve
+against a parallel copy of itself contributes the two generators of a
+sphere's cohomology instead. The tests check it against the engine.
 """
 
 MATRICES = {
@@ -50,3 +58,9 @@ def predicted(word: str, vertex: int) -> tuple[int, int, int]:
     """(summands, hf(Q0, .) total, hf(Q1, .) total) of apply_braid(word, Q_vertex)."""
     p, q = slopes(word, vertex)[-1]
     return abs(p) + abs(q), abs(p) or 2, abs(q) or 2
+
+
+def pair_total(word1: str, vertex1: int, word2: str, vertex2: int) -> int:
+    """The total rank of hf(apply_braid(word1, Q_vertex1), apply_braid(word2, Q_vertex2))."""
+    (p, q), (r, s) = slopes(word1, vertex1)[-1], slopes(word2, vertex2)[-1]
+    return abs(p * s - q * r) or 2

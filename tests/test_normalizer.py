@@ -351,14 +351,18 @@ def test_normalize_never_asks_the_oracle(monkeypatch):
 
 @pytest.mark.parametrize("extra", ("shifted core", "nothing"))
 def test_replay_off_one_shifted_core_is_refused(monkeypatch, P, extra):
-    replay = normalizer.apply_braid
+    # The last reduction step's result is the word applied to the input, so the fault goes there.
+    real = normalizer.reduction_step
 
-    def missed(word, c):
+    def missed(c, **kwargs):
+        step = real(c, **kwargs)
+        if step.cx_after:
+            return step
         if extra == "nothing":
-            return TwistedComplex(c.params, [])
-        return direct_sum(replay(word, c), shift(single_core(c.params, 0), 1))
+            return step._replace(result=TwistedComplex(c.params, []))
+        return step._replace(result=direct_sum(step.result, shift(single_core(c.params, 0), 1)))
 
-    monkeypatch.setattr(normalizer, "apply_braid", missed)
+    monkeypatch.setattr(normalizer, "reduction_step", missed)
     with pytest.raises(CertificateError):
         normalize(apply_braid("s0 s1", single_core(P, 0)))
 

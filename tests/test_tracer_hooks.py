@@ -40,10 +40,12 @@ def test_span_recorder_hooks_fire():
     # matrix_build_cells and hom_nonzeros are read off the dense Matrix view.
     assert counts["linalg.matrix_build_cells"] > 0
     # Exact on this fixed input, so a change to the hom layout or the twist fails here too.
-    assert counts["complexes.hom_gens"] == 93
-    assert counts["complexes.hom_nonzeros"] == 46
-    assert counts["twists.twist_calls"] == 16
-    assert counts["complexes.minimize_cancelled"] == 28
+    # normalize(x) twists each of its word's 3 letters once, in the reduction itself, and
+    # hf_ranks(x, x) is below ORBIT_SELF_HOM_LEN, so it builds the direct hom.
+    assert counts["complexes.hom_gens"] == 77
+    assert counts["complexes.hom_nonzeros"] == 40
+    assert counts["twists.twist_calls"] == 13
+    assert counts["complexes.minimize_cancelled"] == 20
     assert counts["complexes.oracle_candidates"] > 0
     assert counts["complexes.oracle_cones"] > 0
     # Validation, cones and minimize still compose; hom columns read the product memo instead.
