@@ -238,6 +238,27 @@ def test_normalize_refuses_contractible_input_without_admissibility(P, monkeypat
             normalize(cone(Morphism(c, c, 0, identity)))
 
 
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_normalize_ignores_its_positional_options(characteristic):
+    # perfbench's normalize_checked passes (c, True, seed) by position; both are ignored.
+    params = make_params(3, characteristic)
+    rng = random.Random(720 + characteristic)
+    for seed in range(4):
+        c = apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2)))
+        expected = normalize(c)
+        assert normalize(c, True, seed) == expected
+        assert normalize(c, False, 7) == expected
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_case_b_over_a_non_spherical_core_is_refused(characteristic):
+    # s1 s1 s1 Q0 reaches case B outside the base case; case B is case A with the cores swapped.
+    params = make_params(3, characteristic, (1, 1, 1, 1))
+    c = apply_braid("s1 s1 s1", single_core(params, 0))
+    with pytest.raises(PreconditionViolated, match="relabelling swaps the two cores, so both must be spherical"):
+        normalize(c)
+
+
 def test_normalize_rejects_inadmissible(P):
     with pytest.raises(InadmissibleInput):
         normalize(direct_sum(single_core(P, 0), shift(single_core(P, 0), 1)))
@@ -383,5 +404,5 @@ def test_exhausted_base_case_search_twists_each_prefix_once(monkeypatch, charact
 
     monkeypatch.setattr(twists, "twist", counted)
     with pytest.raises(NormalizerDeadEnd, match="no word of length <= 3"):
-        reduction_step(c, bfs_length=3)
+        reduction_step(c)
     assert len(calls) == 110

@@ -4,19 +4,25 @@ Golden normalizer outputs, pinned as sha256 digests.
 Two corpora per (n, characteristic), for n = 3, 4, 5 over F_2, F_32003 and Q:
 
 - certificates: normalize(c).to_dict() for seeded braid images of both cores;
-- steps: the outcome of reduction_step on seeded complexes that are
+- steps: the outcome of one reduction_step on seeded complexes that are
   minimized, shift-normalized, of positive complexity and not admissible:
   direct sums of shifted braid images, and sums of bare cores spread over
   fewer than n - 1 positions. The outcome is the step's letters, case tag
-  and complexities, or the exception class and message. Each complex is
-  stepped twice: with the defaults, and without structural checks and with
-  a one-letter search.
+  and complexities, or the exception class and message.
 
-Tags and messages are CLI output (normalize reports them), so a refactor of
-the case analysis must leave these digests unchanged. Between them the two
-corpora reach the tags A1, A2, B1, B2, base-A1, base-A2, base-B1 (only in
-certificates), base-B2 and fallback, and the message of every
-NormalizerDeadEnd and ComplexityNotReduced that reduction_step raises.
+- non-spherical: normalize's certificate, or the class of the exception it
+  raises, on seeded braid images of both cores over a non-spherical Q0 (one
+  Betti vector per row of NON_SPHERICAL), every other one summed with a
+  shifted second image. A message may change; a verdict may not.
+
+Certificates are CLI output (normalize reports them). Every input in the
+step corpus is inadmissible, so normalize raises InadmissibleInput for each
+one and none of the step messages reach the CLI: that corpus pins
+reduction_step itself. A refactor of the case analysis must leave both
+digests unchanged. Between them the two corpora reach the tags A1, A2, B1,
+B2, base-A1, base-A2, base-B1 (only in certificates), base-B2 and fallback,
+every NormalizerDeadEnd message of the main case and of the base case's
+search, and one ComplexityNotReduced.
 """
 
 import hashlib
@@ -34,6 +40,8 @@ from conftest import random_word
 
 CASES = [(n, characteristic) for n in (3, 4, 5) for characteristic in (2, 32003, 0)]
 
+NON_SPHERICAL = [(3, (1, 1, 1, 1)), (4, (1, 0, 2, 0, 1)), (4, (1, 1, 0, 1, 1)), (5, (1, 0, 1, 1, 0, 1))]
+
 GOLDEN_CERTIFICATES = {
     (3, 2): "bfa60680228953dea030e9139cfefc86d58012c6de5c99d14aabcd70421fc732",
     (3, 32003): "c490f92b697ad68108ccc645fe90577b8e361e24bdc7ae5134ad330fdb1c330c",
@@ -47,15 +55,30 @@ GOLDEN_CERTIFICATES = {
 }
 
 GOLDEN_STEPS = {
-    (3, 2): "69c3479ec35778b5a53a123be394452a052b078c23abf9ee8639abd2027b2bdd",
-    (3, 32003): "8d85aecb19ea4aa83c79dd8cf4f7823d421cf9a0e32480aabf54f93aa549ed30",
-    (3, 0): "03ff9917e27745cc7a1af430c7a074a2a16fa8f9c4c3bed1fc4bd2b48597425e",
-    (4, 2): "c74efc09405afb8e91b7b5110fed1727433763539ed7e56d5c7e4a4b78ecd6be",
-    (4, 32003): "8da14dc5402aa0d94042f83fd6be3ecf07da246528a008ed2e7c7145f23799b3",
-    (4, 0): "b43fad1b528c4ce214c2365abddd454d879d3917ce528f68a86583b97614cea7",
-    (5, 2): "c58f39945dd9d93533216b98fd7446a792ad8d638ef1646c5cfad8484f8c67c7",
-    (5, 32003): "c57f8e0d7ae420975c7e478446d62c96930146b2198eff0be46cd948ab8be7e6",
-    (5, 0): "d6b32f07c418f2015ac2a572098036bd86da845f4c99516115a48a467f9c28d9",
+    (3, 2): "729f5ee7981d87ee8ab7d6a7ff18c428399f2926749e0e886aba4f22afea9766",
+    (3, 32003): "3ed21eead707c48fc62f8b2d7286aa6369ffdfb1120da8507fabe2b1b998e0ed",
+    (3, 0): "c5e8a4cf8c465e4be24f2c50f69b7de34f01a3775fdb3a04f54b65c6dc188485",
+    (4, 2): "f0be713b3a2490b3e902447753e1fccec4c855ce8acdce2ae454a713ae603cca",
+    (4, 32003): "0e96bda223f1a596ae4c24c61c2c2a8973551217396013ffe12d1cdcbd57fc4e",
+    (4, 0): "068d3b7a381da77c397affda2098be8487676997e363dcf94d815d41ccf2d16f",
+    (5, 2): "37ef1450cb104430934d584f3fe894babd1a5c465bd4ef7f7cec80fe210eae94",
+    (5, 32003): "42e0709ede2e5c0bf44adec3e1fadd60c263d6a9ef59485fedb340d56655c310",
+    (5, 0): "1a6990a317e33cf4606880ab1813f07112dee4e0826249c3dd605393ef075ca9",
+}
+
+GOLDEN_NON_SPHERICAL = {
+    (3, (1, 1, 1, 1), 2): "cc4f9fcb004d7338ef80cfa3c51be891f73bfccaa9e6507d15680e7d67afde6b",
+    (3, (1, 1, 1, 1), 32003): "7c4f0c7b4d066f0aca420a8380e358110c1645417170152771644d326804bb43",
+    (3, (1, 1, 1, 1), 0): "5c70f49479b0d9c16f9cb0e1a0b9d07c7f4543a79508340bba4b43214e9db70a",
+    (4, (1, 0, 2, 0, 1), 2): "0521f37bedc36bed3dde0cf1681e844d41e07ed06cc5e5b79a6eb27d7cc3d1ec",
+    (4, (1, 0, 2, 0, 1), 32003): "933b7ce27136256a4b5a875ca19de8550f136cd60129fae2a561e1c2bd434b3f",
+    (4, (1, 0, 2, 0, 1), 0): "3962599035dafec6c7c6a262379fbd1a85f41ded5d946e480a59b6d6c197333e",
+    (4, (1, 1, 0, 1, 1), 2): "61c98100763313249067b7713040ad9d76bc033e4607ebbf37a9608e272441db",
+    (4, (1, 1, 0, 1, 1), 32003): "3da19644103e48a7d33ed2e2341d42d142ab989c19701c1f02335cc35dfc2944",
+    (4, (1, 1, 0, 1, 1), 0): "aa0bc4b91dce43de448afd4698a94cc27db6150ac030d1826acabc02b16b4850",
+    (5, (1, 0, 1, 1, 0, 1), 2): "52a8cc3d06b67e9bb9098bf9a1760678e87ceb95c952446e93c87b0a928d1924",
+    (5, (1, 0, 1, 1, 0, 1), 32003): "6d86e14b0b5e1a3adc82d3b6a14e09ab95d1a03b0f81704ac7a4ff90a1fcc102",
+    (5, (1, 0, 1, 1, 0, 1), 0): "63c74511c99022b0769b70b3fd971e9e308a32bab4fe3dbe6d334fd3e7bc74a1",
 }
 
 
@@ -111,8 +134,23 @@ def step_outcome(x, **kwargs) -> str:
 def step_lines(n: int, characteristic: int):
     for x in inadmissible_corpus(n, characteristic):
         yield serialize_complex(x)
-        yield "  " + step_outcome(x)
-        yield "  " + step_outcome(x, structural_checks=False, bfs_length=1)
+        yield "  " + step_outcome(x, structural_checks=False)
+
+
+def non_spherical_lines(n: int, betti0: tuple[int, ...], characteristic: int, count: int = 40):
+    params = make_params(n, characteristic, betti0)
+    cores = (single_core(params, 0), single_core(params, 1))
+    rng = random.Random(f"3/{n}/{betti0}/{characteristic}")
+    for k in range(count):
+        x = apply_braid(random_word(rng, 4), rng.choice(cores))
+        if k % 2:
+            y = apply_braid(random_word(rng, 4), rng.choice(cores))
+            x = direct_sum(x, shift(y, rng.randrange(-n, n + 1)))
+        yield serialize_complex(x)
+        try:
+            yield f"  {normalize(x).to_dict()}"
+        except NormalizeError as exc:
+            yield f"  {type(exc).__name__}"
 
 
 def digest(lines) -> str:
@@ -131,3 +169,9 @@ def test_golden_certificates(n, characteristic):
 @pytest.mark.parametrize("n,characteristic", CASES)
 def test_golden_reduction_steps(n, characteristic):
     assert digest(step_lines(n, characteristic)) == GOLDEN_STEPS[(n, characteristic)]
+
+
+@pytest.mark.parametrize("n,betti0", NON_SPHERICAL)
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_golden_non_spherical_verdicts(n, betti0, characteristic):
+    assert digest(non_spherical_lines(n, betti0, characteristic)) == GOLDEN_NON_SPHERICAL[(n, betti0, characteristic)]

@@ -5,9 +5,11 @@ reference, and the two must return the same Violation list, element for
 element, on seeded valid and corrupted complexes over F_2, F_32003 and Q.
 """
 
+import graphlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import category_for, make_params
 from plumbtwist.complexes import (
@@ -232,3 +234,30 @@ def test_validate_reports_a_well_typed_self_loop():
     found = validate(c)
     assert found == reference_validate(c)
     assert [(v.kind, v.slot) for v in found][:2] == [("triangularity", (0, 0)), ("triangularity", None)]
+
+
+@st.composite
+def digraphs(draw):
+    """A node count of 1 to 9 and distinct edges (i, j) between those nodes, self-loops included."""
+    size = draw(st.integers(1, 9))
+    node = st.integers(0, size - 1)
+    return size, draw(st.lists(st.tuples(node, node), unique=True, max_size=3 * size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs())
+def test_find_cycle_is_the_cycle_graphlib_reports(graph):
+    # graphlib searches its nodes in insertion order and each node's successors in edge order,
+    # as _find_cycle does, so the two report the same cycle, not just some cycle.
+    size, edges = graph
+    sorter = graphlib.TopologicalSorter()
+    for k in range(size):
+        sorter.add(k)
+    for i, j in edges:
+        sorter.add(j, i)
+    try:
+        sorter.prepare()
+        expected = None
+    except graphlib.CycleError as exc:
+        expected = exc.args[1]
+    assert _find_cycle(size, edges) == expected
