@@ -19,7 +19,7 @@ import hashlib
 import sys
 import time
 
-from .category import make_params, spherical_betti
+from .category import make_params
 from .complexes import equivalent, hf_ranks, single_core, total_rank
 from .covers import (
     INFINITE,
@@ -249,7 +249,7 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
             raise CliFailure(USAGE, "usage-error",
                              f"--max-length must be a non-negative integer, got {args.max_length}")
         params = _params_from_args(args)
-        if params.resolved_betti0() != spherical_betti(params.n):
+        if not params.spherical:
             raise CliFailure(USAGE, "usage-error", "the orbit search needs spherical cores (drop --betti0)")
         try:
             word, shiftval = core_orbit_witness(params.n, params.field.characteristic,

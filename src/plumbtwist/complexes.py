@@ -230,34 +230,24 @@ def _find_cycle(size: int, edges: Iterable[tuple[int, int]]) -> list[int] | None
     adj: dict[int, list[int]] = {}
     for i, j in edges:
         adj.setdefault(i, []).append(j)
-    color = [0] * size  # 0 unseen, 1 on stack, 2 done
-    parent: dict[int, int] = {}
+    color = [0] * size  # 0 unseen, 1 on the path, 2 done
     for start in range(size):
         if color[start]:
             continue
-        stack = [(start, iter(adj.get(start, ())))]
         color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
+        path, branches = [start], [iter(adj.get(start, ()))]
+        while path:
+            for nxt in branches[-1]:
                 if color[nxt] == 1:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
+                    return path[path.index(nxt):] + [nxt]
                 if color[nxt] == 0:
                     color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
+                    path.append(nxt)
+                    branches.append(iter(adj.get(nxt, ())))
                     break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+            else:
+                color[path.pop()] = 2
+                branches.pop()
     return None
 
 

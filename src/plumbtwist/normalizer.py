@@ -12,7 +12,9 @@ takes two twist letters from the bottom vertex, then looks at the outer n-2
 slots to choose the one that provably lowers cx for admissible complexes.
 The base case, where the complex is too short for any top-class arrow, tries
 the same letters and accepts whichever works, with a bounded word search as
-a last resort.
+a last resort. A step makes no structural pre-check of its input against the
+case analysis: a step that does not lower cx raises, and normalize then
+classifies the failure by admissibility, so no verdict would read one.
 
 Certificates are never trusted from the trace. The reduction starts from
 minimize(c), the first call apply_braid(word, c) makes, and each step twists
@@ -47,7 +49,6 @@ from .complexes import (
     require_valid,
     shift_normalized,
 )
-from .linalg import echelon_of
 from .twists import BraidLetter, BraidWord, apply_letter, braid_images, word_to_string
 
 
@@ -169,56 +170,9 @@ def relabel(c: TwistedComplex) -> TwistedComplex:
     return _assemble(c.params, summands, delta)
 
 
-# -- structural checks from the case analysis --------------------------------------------
-
-
-def _vertical_rank(c: TwistedComplex, position: int) -> tuple[int, int, int]:
-    """
-    The rank of the p-coefficient map from vertex-0 to vertex-1 summands at
-    one position, with the numbers of those source and target summands.
-    """
-    field = c.params.field
-    us = [k for k, s in enumerate(c.summands) if s.vertex == 0 and s.position == position]
-    vs = [k for k, s in enumerate(c.summands) if s.vertex == 1 and s.position == position]
-    columns = []
-    for i in us:
-        coeffs = (c.delta.get((i, j), {}).get("p") for j in vs)
-        columns.append({r: x for r, x in enumerate(coeffs) if x})
-    return len(echelon_of(field, columns)), len(us), len(vs)
-
-
-def case_a_structure_defects(c: TwistedComplex) -> list[str]:
-    """
-    On a shift-normalized complex with vertex 1 at the bottom, the outer
-    vertical maps must be injective at the bottom and surjective at the top,
-    and the dotted arrows out of the outer slots must vanish. Failures here
-    contradict admissibility.
-    """
-    n = c.params.n
-    u, v = c.profile()
-    top = max(list(u) + list(v))
-    out: list[str] = []
-    for i in range(n - 1):
-        if u.get(i, 0):
-            rank, sources, _ = _vertical_rank(c, i)
-            if rank < sources:
-                out.append(f"vertical map at position {i} is not injective")
-        hi = top - i
-        if v.get(hi, 0):
-            rank, _, targets = _vertical_rank(c, hi)
-            if rank < targets:
-                out.append(f"vertical map at position {hi} is not surjective")
-    for (a, b), combo in sorted(c.delta.items()):
-        if "q" not in combo:
-            continue
-        src = c.summands[a].position
-        tgt = c.summands[b].position
-        if tgt < n - 1 or src > top - (n - 1):
-            out.append(f"dotted arrow {c.summands[a]}->{c.summands[b]} should vanish in the outer slots")
-    return out
-
-
 # -- one reduction step -------------------------------------------------------------------
+
+BASE_SEARCH_LENGTH = 3  # the longest word the base case's fallback search tries
 
 
 class ReductionStep(NamedTuple):
@@ -229,14 +183,17 @@ class ReductionStep(NamedTuple):
     result: TwistedComplex
 
 
-def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length: int = 3) -> ReductionStep:
+def reduction_step(c: TwistedComplex) -> ReductionStep:
     """
     One complexity-lowering twist on a minimized, nonempty, admissible complex
     with cx > 0. Every decision is made on a shift-normalized copy of c; the
     chosen letters are then applied to c itself, so result is in c's frame
     and is no longer re-normalized: it is apply_braid(letters, c). Raises
-    NormalizerDeadEnd when the case dichotomy fails and ComplexityNotReduced
-    when the selected letter does not work.
+    NormalizerDeadEnd when the case dichotomy fails or the base-case search
+    finds no word, ComplexityNotReduced when the selected letter does not
+    work, and PreconditionViolated for case B outside the base case over a
+    non-spherical Q0: case B is case A with the cores' roles swapped, which
+    needs both cores spherical.
     """
     work, _ = shift_normalized(c)
     rep = complexity(work)
@@ -262,11 +219,8 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
                         ("A1", "A2") if case_a else ("B1", "B2")))
 
     if top >= n - 1:
-        if structural_checks:
-            defects = case_a_structure_defects(work if case_a else shift_normalized(relabel(work))[0])
-            if defects:
-                context = "" if case_a else " after relabelling"
-                raise NormalizerDeadEnd(f"structure defects{context}: " + "; ".join(defects))
+        if not case_a and not c.params.spherical:
+            raise PreconditionViolated("relabelling swaps the two cores, so both must be spherical")
         if all(low.get(top - i, 0) == 0 for i in range(n - 1)):
             letter, tag = choices[0]
         elif any(high.get(j, 0) for j in range(n - 1)):
@@ -288,7 +242,7 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
     def candidates():
         for letter, tag in choices:
             yield (letter,), f"base-{tag}", apply_letter(letter, c)
-        for word, result in braid_images(c, bfs_length):
+        for word, result in braid_images(c, BASE_SEARCH_LENGTH):
             yield word, "fallback", result
 
     for word, tag, result in candidates():
@@ -297,7 +251,7 @@ def reduction_step(c: TwistedComplex, structural_checks: bool = True, bfs_length
             if after < rep.cx:
                 return ReductionStep(word, tag, rep.cx, after, result)
     raise NormalizerDeadEnd(
-        f"no word of length <= {bfs_length} lowers cx from {rep.cx} in the base case")
+        f"no word of length <= {BASE_SEARCH_LENGTH} lowers cx from {rep.cx} in the base case")
 
 
 # -- full normalization --------------------------------------------------------------------
@@ -330,12 +284,12 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
     minimizes to the empty complex lies in no core's orbit and raises
     PreconditionViolated at once. Admissibility is computed only when the
     reduction fails: it then decides between InadmissibleInput and the
-    reduction's own error. seed is ignored; it is kept for callers that
-    still pass it.
+    reduction's own error. structural_checks and seed are ignored; they are
+    kept for callers that still pass them by position.
     """
     start = _start(c)
     try:
-        return _certify(start, structural_checks)
+        return _certify(start)
     except NormalizeError as exc:
         adm = admissible(c)
         if not adm.ok:
@@ -356,7 +310,7 @@ def orbit_certificate(c: TwistedComplex) -> Certificate | None:
     if not c.params.spherical:
         return None
     try:
-        return _certify(_start(c), True)
+        return _certify(_start(c))
     except (NormalizeError, ComplexError):
         return None
 
@@ -372,7 +326,7 @@ def _start(c: TwistedComplex) -> TwistedComplex:
     return start
 
 
-def _certify(start: TwistedComplex, structural_checks: bool) -> Certificate:
+def _certify(start: TwistedComplex) -> Certificate:
     """
     The reduction of start = minimize(c), each step of which lowers cx and
     keeps it nonempty, checked on its last result. Each step twists the
@@ -385,7 +339,7 @@ def _certify(start: TwistedComplex, structural_checks: bool) -> Certificate:
     trace: list[TraceEntry] = []
     current, cx = start, _spread(start)
     while cx > 0:
-        step = reduction_step(current, structural_checks=structural_checks)
+        step = reduction_step(current)
         trace.append(TraceEntry(step.letters, step.case, step.cx_before, step.cx_after))
         current, cx = step.result, step.cx_after
 

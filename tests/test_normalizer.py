@@ -375,8 +375,8 @@ def test_replay_off_one_shifted_core_is_refused(monkeypatch, P, extra):
     # The last reduction step's result is the word applied to the input, so the fault goes there.
     real = normalizer.reduction_step
 
-    def missed(c, **kwargs):
-        step = real(c, **kwargs)
+    def missed(c):
+        step = real(c)
         if step.cx_after:
             return step
         if extra == "nothing":

@@ -123,9 +123,9 @@ def inadmissible_corpus(n: int, characteristic: int, count: int = 60):
         yield x
 
 
-def step_outcome(x, **kwargs) -> str:
+def step_outcome(x) -> str:
     try:
-        step = reduction_step(x, **kwargs)
+        step = reduction_step(x)
     except NormalizeError as exc:
         return f"{type(exc).__name__}: {exc}"
     return f"{word_to_string(step.letters)} {step.case} {step.cx_before}->{step.cx_after}"
@@ -134,7 +134,7 @@ def step_outcome(x, **kwargs) -> str:
 def step_lines(n: int, characteristic: int):
     for x in inadmissible_corpus(n, characteristic):
         yield serialize_complex(x)
-        yield "  " + step_outcome(x, structural_checks=False)
+        yield "  " + step_outcome(x)
 
 
 def non_spherical_lines(n: int, betti0: tuple[int, ...], characteristic: int, count: int = 40):
