@@ -1,25 +1,26 @@
 """
 Golden normalizer outputs, pinned as sha256 digests.
 
-Two corpora per (n, characteristic), for n = 3, 4, 5 over F_2, F_32003 and Q:
+Three corpora, for n = 3, 4, 5 over F_2, F_32003 and Q:
 
 - certificates: normalize(c).to_dict() for seeded braid images of both cores;
 - steps: the outcome of one reduction_step on seeded complexes that are
   minimized, shift-normalized, of positive complexity and not admissible:
   direct sums of shifted braid images, and sums of bare cores spread over
   fewer than n - 1 positions. The outcome is the step's letters, case tag
-  and complexities, or the exception class and message.
-
+  and complexities, or the exception class and message;
 - non-spherical: normalize's certificate, or the class of the exception it
   raises, on seeded braid images of both cores over a non-spherical Q0 (one
   Betti vector per row of NON_SPHERICAL), every other one summed with a
-  shifted second image. A message may change; a verdict may not.
+  shifted second image. A message may change; a verdict may not. It
+  reaches certificates, InadmissibleInput, NormalizerDeadEnd and the
+  refusal of case B over a non-spherical Q0.
 
 Certificates are CLI output (normalize reports them). Every input in the
 step corpus is inadmissible, so normalize raises InadmissibleInput for each
 one and none of the step messages reach the CLI: that corpus pins
-reduction_step itself. A refactor of the case analysis must leave both
-digests unchanged. Between them the two corpora reach the tags A1, A2, B1,
+reduction_step itself. A refactor of the case analysis must leave every
+digest unchanged. Between them the first two corpora reach the tags A1, A2, B1,
 B2, base-A1, base-A2, base-B1 (only in certificates), base-B2 and fallback,
 every NormalizerDeadEnd message of the main case and of the base case's
 search, and one ComplexityNotReduced.
