@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from .category import Category, CategoryParams, category_for, is_vertex
@@ -69,8 +70,9 @@ class TwistedComplex:
     a dict owned by this complex alone. The constructor establishes that for
     outside input (the parser, user code) by coercing every value into the
     field. The library's own constructions (shift, restrict, direct_sum,
-    cone, minimize, relabel, specialize) build a clean delta themselves and
-    hand it over through _assemble, which checks nothing.
+    cone, minimize, the inverse twist, relabel, specialize) build a clean
+    delta themselves and hand it over through _assemble, which checks
+    nothing.
     """
 
     __slots__ = ("params", "summands", "delta")
@@ -270,7 +272,8 @@ def _compose_slots(cat: Category, p: int, first, second, scale=1, out=None) -> d
     by_source = _grouped(second, 0)
     for (i, j), f in first.items():
         for k, g in by_source.get(j, ()):
-            if not axpy(out.setdefault((i, k), {}), cat.compose(g, f), scale, p):
+            prod = cat.compose(g, f)
+            if prod and not axpy(out.setdefault((i, k), {}), prod, scale, p):
                 del out[(i, k)]
     return out
 
@@ -318,9 +321,21 @@ def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
 
 def restrict(c: TwistedComplex, members: Sequence[int]) -> TwistedComplex:
     """The summands at members, in that order, with the entries of delta among them re-indexed and copied."""
-    where = {old: new for new, old in enumerate(members)}
-    entries = {(where[i], where[j]): combo.copy() for (i, j), combo in c.delta.items() if i in where and j in where}
-    return _assemble(c.params, [c.summands[k] for k in members], entries)
+    return restrictions(c, [members])[0]
+
+
+def restrictions(c: TwistedComplex, groups: Sequence[Sequence[int]]) -> list[TwistedComplex]:
+    """restrict(c, members) for each of the disjoint groups, splitting delta among them in one pass."""
+    where: dict[int, tuple[int, int]] = {}  # summand -> (its group, its index there)
+    for piece, members in enumerate(groups):
+        for new, old in enumerate(members):
+            where[old] = (piece, new)
+    deltas: list[dict[tuple[int, int], Combo]] = [{} for _ in groups]
+    for (i, j), combo in c.delta.items():
+        wi, wj = where.get(i), where.get(j)
+        if wi is not None and wj is not None and wi[0] == wj[0]:
+            deltas[wi[0]][wi[1], wj[1]] = combo.copy()
+    return [_assemble(c.params, [c.summands[k] for k in members], delta) for members, delta in zip(groups, deltas)]
 
 
 def direct_sum(c: TwistedComplex, d: TwistedComplex) -> TwistedComplex:
@@ -419,17 +434,16 @@ class HomComplex:
 
         # D(f) = delta_d . f - (-1)^g f . delta_c: the target entries leaving f's
         # target summand, and the source entries entering f's source summand,
-        # negated once here for the even degrees.
+        # each term negated as it is written in the even degrees.
         out_of = _grouped(d.delta, 0)
         into = _grouped(c.delta, 1)
-        into_negated = {i: [(i2, axpy({}, combo, -1, p)) for i2, combo in entries] for i, entries in into.items()}
         index = self.index
         products = cat.products
         self.columns: dict[int, list[Vector]] = {}
         for g, gens in self.components.items():
             if self.window is not None and g not in self.window:
                 continue
-            into_g = into_negated if g % 2 == 0 else into
+            negate = g % 2 == 0
             cols = []
             for i, j, name in gens:
                 col: Vector = {}
@@ -438,10 +452,12 @@ class HomComplex:
                         prod = products[name2, name]
                         if prod is not None:
                             _add_term(col, index, g, (i, j2, prod), x, p)
-                for i2, combo in into_g.get(i, ()):
+                for i2, combo in into.get(i, ()):
                     for name2, x in combo.items():
                         prod = products[name, name2]
                         if prod is not None:
+                            if negate:
+                                x = -x % p if p else -x
                             _add_term(col, index, g, (i2, j, prod), x, p)
                 cols.append(col)
             self.columns[g] = cols
@@ -599,34 +615,75 @@ def minimize(c: TwistedComplex) -> TwistedComplex:
     is preserved and the result carries no identity arrows. Idempotent. Each
     cancellation takes the smallest slot (a, b) holding a unit lam and adds
     the zig-zag x -> b <- a -> y, -1/lam times (a -> y) . (x -> b), to every
-    slot (x, y) with one _compose_slots product.
+    slot (x, y), then drops a and b. Gaussian elimination is local: outs[x]
+    and ins[y] map each summand to its neighbours, sharing one combo per
+    slot, so a cancellation touches only ins[b] x outs[a] and the slots of a
+    and b. A min-heap holds every live unit slot (a slot is pushed again
+    whenever a zig-zag leaves a unit on it), and a popped slot that has died
+    or holds no unit is skipped, so each pick is the smallest unit slot
+    left. The working delta keeps slots in the order they appeared, which
+    the result keeps too.
     """
-    field = c.params.field
-    cat = c.category
-    alive = set(range(len(c)))
-    delta: dict[tuple[int, int], Combo] = {k: dict(v) for k, v in c.delta.items()}
+    summands = c.summands
+    units = [slot for slot, combo in c.delta.items() if "e0" in combo or "e1" in combo]
+    owned = bool(units)
+    delta = c.delta
+    alive = [True] * len(summands)
+    if owned:
+        field = c.params.field
+        p = field.characteristic
+        compose = c.category.compose
+        delta = {slot: dict(combo) for slot, combo in delta.items()}
+        outs: list[dict[int, Combo]] = [{} for _ in summands]
+        ins: list[dict[int, Combo]] = [{} for _ in summands]
+        for (x, y), combo in delta.items():
+            outs[x][y] = ins[y][x] = combo
+        heapify(units)
+        while units:
+            a, b = heappop(units)
+            unit = outs[a].get(b, {})
+            lam = unit.get("e0") or unit.get("e1")
+            if lam is None:
+                continue
+            scale = field.neg(field.inv(lam))
+            out_a = outs[a]
+            for x, f in ins[b].items():
+                if x == a:
+                    continue
+                out_x = outs[x]
+                for y, g in out_a.items():
+                    if y == b:
+                        continue
+                    prod = compose(g, f)
+                    if not prod:
+                        continue
+                    combo = out_x.get(y)
+                    if combo is None:
+                        combo = delta[x, y] = out_x[y] = ins[y][x] = axpy({}, prod, scale, p)
+                    elif not axpy(combo, prod, scale, p):
+                        del delta[x, y], out_x[y], ins[y][x]
+                        continue
+                    if "e0" in combo or "e1" in combo:
+                        heappush(units, (x, y))
+            for v in (a, b):
+                alive[v] = False
+                for y in outs[v]:
+                    del delta[v, y], ins[y][v]
+                outs[v] = {}
+                for x in ins[v]:
+                    del delta[x, v], outs[x][v]
+                ins[v] = {}
 
-    while True:
-        pick = min((slot for slot, combo in delta.items() if "e0" in combo or "e1" in combo), default=None)
-        if pick is None:
-            break
-        a, b = pick
-        unit = delta[pick]
-        scale = field.neg(field.inv(unit["e0"] if "e0" in unit else unit["e1"]))
-        # x -> b is re-keyed to end at a, so the product runs through the inverted arrow.
-        into_b = {(x, a): combo for (x, y), combo in delta.items() if y == b and x != a}
-        out_of_a = {(a, y): combo for (x, y), combo in delta.items() if x == a and y != b}
-        _compose_slots(cat, field.characteristic, into_b, out_of_a, scale, delta)
-        alive.discard(a)
-        alive.discard(b)
-        for key in [k for k in delta if a in k or b in k]:
-            del delta[key]
-
-    order = sorted(alive, key=lambda i: (-c.summands[i].position, c.summands[i].vertex, i))
-    # Every slot left in delta joins two survivors, so it takes the working combos over.
+    keys = [(-s.position, s.vertex) for s in summands]
+    order = sorted([i for i, live in enumerate(alive) if live], key=keys.__getitem__)
     where = {old: new for new, old in enumerate(order)}
-    delta = {(where[i], where[j]): combo for (i, j), combo in delta.items()}
-    return _assemble(c.params, [c.summands[k] for k in order], delta)
+    # Every slot left in delta joins two survivors. A cancelling run takes its working
+    # combos over; otherwise delta is the input's, and re-indexing is its one copy.
+    if owned:
+        delta = {(where[i], where[j]): combo for (i, j), combo in delta.items()}
+    else:
+        delta = {(where[i], where[j]): combo.copy() for (i, j), combo in delta.items()}
+    return _assemble(c.params, [summands[k] for k in order], delta)
 
 
 # -- quasi-isomorphism oracle -----------------------------------------------------------

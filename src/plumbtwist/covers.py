@@ -30,6 +30,7 @@ from .complexes import (
     minimize,
     require_valid,
     restrict,
+    restrictions,
     single_core,
     total_rank,
     validate,
@@ -115,7 +116,7 @@ def decompose(c: TwistedComplex) -> list[TwistedComplex]:
     groups: dict[int, list[int]] = {}
     for k in range(len(m)):
         groups.setdefault(find(k), []).append(k)
-    pieces = [restrict(m, sorted(members)) for members in groups.values()]
+    pieces = restrictions(m, [sorted(members) for members in groups.values()])
     pieces.sort(key=lambda piece: min((s.position, s.vertex) for s in piece.summands))
     return pieces
 

@@ -299,9 +299,10 @@ def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence
     whose differential out of degree g has the sparse columns columns[g]
     (keyed by index in degree g + 1). Degrees of rank zero are left out.
     A negative rank can only come from a differential that does not square
-    to zero, and raises ValueError.
+    to zero, and raises ValueError. Empty columns add nothing to a rank, so
+    they are not eliminated.
     """
-    rank = {g: len(echelon_of(field, cols)) for g, cols in columns.items()}
+    rank = {g: len(echelon_of(field, filter(None, cols))) for g, cols in columns.items()}
     ranks: dict[int, int] = {}
     for g, size in dims.items():
         r = size - rank.get(g, 0) - rank.get(g - 1, 0)

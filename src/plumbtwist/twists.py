@@ -24,12 +24,12 @@ from .complexes import (
     Morphism,
     Summand,
     TwistedComplex,
+    _assemble,
     cone,
     equivalent,
     hom_complex,
     minimize,
     require_valid,
-    shift,
     single_core,
 )
 from .linalg import is_int, make_checked
@@ -109,8 +109,10 @@ def twist(c: TwistedComplex, vertex: int, power: int = 1) -> TwistedComplex:
     copies = TwistedComplex(c.params, summands)
     if forward:
         return minimize(cone(Morphism(copies, c, 0, comps)))
-    # A uniform shift changes neither the order minimize keeps nor the slots it cancels, so shift after it.
-    return shift(minimize(cone(Morphism(c, copies, 0, comps))), -1)
+    # A uniform shift changes neither the order minimize keeps nor the slots it cancels, so shift
+    # after it: [-1] raises every position by one, over the minimized cone's own delta.
+    m = minimize(cone(Morphism(c, copies, 0, comps)))
+    return _assemble(c.params, [Summand(s.vertex, s.position + 1) for s in m.summands], m.delta)
 
 
 def apply_letter(letter: BraidLetter, c: TwistedComplex) -> TwistedComplex:

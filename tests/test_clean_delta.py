@@ -28,6 +28,7 @@ from plumbtwist.complexes import (
     hom_complex,
     minimize,
     restrict,
+    restrictions,
     shift,
     single_core,
 )
@@ -37,6 +38,7 @@ from plumbtwist.normalizer import relabel
 from plumbtwist.serialize import complex_to_dict
 from plumbtwist.twists import apply_braid, twist
 
+import reference
 from conftest import random_word
 
 FIELDS = (2, 32003, 0)
@@ -85,17 +87,23 @@ def test_library_constructions_build_clean_unshared_deltas(characteristic):
     rng = random.Random(16)
     for c in corpus(characteristic, 1600 + characteristic):
         members = sorted(rng.sample(range(len(c)), max(1, len(c) // 2)))
+        rest = [k for k in range(len(c)) if k not in members]
+        pieces = restrictions(c, [members, rest])
+        assert [(x.summands, x.delta) for x in pieces] == [
+            (x.summands, x.delta) for x in (reference.restrict(c, members), reference.restrict(c, rest))]
         x = c.params.field.element(5)
         built = [
             (shift(c, rng.randint(-3, 3)), (c,)),
             (restrict(c, members), (c,)),
+            *[(piece, (c,)) for piece in pieces],
             (direct_sum(c, c), (c,)),
             (cone(identity(c, x)), (c,)),
             (minimize(cone(identity(c, x))), ()),
             (minimize(c), (c,)),
-            (twist(c, rng.randrange(2), rng.choice((1, -1))), (c,)),
             (relabel(c), (c,)),
         ]
+        # The inverse twist takes its minimized cone's delta over, so both directions are checked.
+        built += [(twist(c, vertex, power), (c,)) for vertex in (0, 1) for power in (1, -1)]
         for w in (0, 1):
             cover = CoverSpec(w)
             if cover.compatible_with(characteristic):

@@ -32,6 +32,7 @@ from plumbtwist.covers import (
 )
 from plumbtwist.twists import apply_braid
 
+import reference
 from conftest import random_word
 
 
@@ -146,6 +147,22 @@ def test_decompose_pieces_sum_to_minimized_input(P2):
     for p in pieces[1:]:
         rebuilt = direct_sum(rebuilt, p)
     assert sorted(rebuilt.summand_multiset()) == sorted(minimize(c).summand_multiset())
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_decompose_splits_delta_as_restricting_each_piece_does(characteristic):
+    # The ladder members of 34 and 233 summands on both covers: decompose splits delta
+    # among the pieces in one pass, and must give what restricting to each piece gives.
+    params = make_params(3, characteristic)
+    for k in (4, 6):
+        c = apply_braid(" ".join(["s0 S1"] * k), single_core(params, 0))
+        for w in (0, 1):
+            x = specialize(c, CoverSpec(w))
+            got, want = decompose(x), reference.decompose(x)
+            assert len(got) == len(want) > 1
+            for piece, expected in zip(got, want):
+                assert piece.summands == expected.summands
+                assert list(piece.delta.items()) == list(expected.delta.items())
 
 
 # -- fibre ranks ----------------------------------------------------------------------------

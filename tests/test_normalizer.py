@@ -36,6 +36,7 @@ from plumbtwist.twists import BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word, refuse_oracle
 from test_normalizer_golden import inadmissible_corpus
+from test_properties import _gauge
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +302,21 @@ def test_normalize_deep_ladder(k):
     cert = normalize(c)
     final = apply_braid(cert.word, c)
     assert len(c) == {6: 233, 7: 610}[k]
+    assert cert.multiplicity == len(final) == 1 and not final.delta
+    assert final.summands == (Summand(cert.target_vertex, -cert.shift),)
+
+
+@pytest.mark.parametrize("v", (0, 1))
+def test_normalize_the_long_ladder_member(v):
+    # (s_v S_{1-v})^8 Q_v has 1 597 summands; gauged and shifted, it must still certify,
+    # and its certificate's word must carry it onto the one shifted core the certificate names.
+    params = make_params(3, 32003)
+    rng = random.Random(1597 + v)
+    c = apply_braid(" ".join([f"s{v} S{1 - v}"] * 8), single_core(params, v))
+    assert len(c) == 1597
+    x = shift(_gauge(c, rng), rng.randint(-4, 4))
+    cert = normalize(x)
+    final = apply_braid(cert.word, x)
     assert cert.multiplicity == len(final) == 1 and not final.delta
     assert final.summands == (Summand(cert.target_vertex, -cert.shift),)
 
