@@ -24,7 +24,6 @@ from .complexes import (
     hom_complex,
     minimize,
     shift,
-    shift_normalized,
     single_core,
     total_rank,
     validate,
@@ -46,11 +45,9 @@ from .normalizer import (
     ComplexityReport,
     admissible,
     complexity,
-    first_step_holds,
     normalize,
     orbit_certificate,
     reduction_step,
-    relabel,
 )
 from .twists import (
     BraidLetter,

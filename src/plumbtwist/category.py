@@ -194,9 +194,6 @@ class Category:
         """All basis morphisms Q_i -> Q_j, in increasing degree."""
         return self._spaces[(i, j)]
 
-    def unit(self, vertex: int) -> BasisMorphism:
-        return self.by_name["e0" if vertex == 0 else "e1"]
-
     # -- composition -------------------------------------------------------------
 
     def _build_table(self, betti) -> dict[tuple[str, str], tuple[str, int]]:

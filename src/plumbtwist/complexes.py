@@ -70,9 +70,8 @@ class TwistedComplex:
     a dict owned by this complex alone. The constructor establishes that for
     outside input (the parser, user code) by coercing every value into the
     field. The library's own constructions (shift, restrict, direct_sum,
-    cone, minimize, the inverse twist, relabel, specialize) build a clean
-    delta themselves and hand it over through _assemble, which checks
-    nothing.
+    cone, minimize, the inverse twist, specialize) build a clean delta
+    themselves and hand it over through _assemble, which checks nothing.
     """
 
     __slots__ = ("params", "summands", "delta")
@@ -115,9 +114,6 @@ class TwistedComplex:
             side = u if s.vertex == 0 else v
             side[s.position] = side.get(s.position, 0) + 1
         return u, v
-
-    def entry_degree(self, i: int, j: int) -> int:
-        return self.summands[i].position - self.summands[j].position + 1
 
 
 def _cleaned(field, delta) -> dict[tuple[int, int], Combo]:
@@ -309,14 +305,6 @@ def shift(c: TwistedComplex, k: int) -> TwistedComplex:
         raise ComplexError(f"shift amount must be an integer, got {k!r}")
     delta = {slot: combo.copy() for slot, combo in c.delta.items()}
     return _assemble(c.params, [Summand(s.vertex, s.position - k) for s in c.summands], delta)
-
-
-def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
-    """Shift so the lowest occupied position is 0; returns (complex, applied shift)."""
-    if c.is_empty:
-        return c, 0
-    k = c.min_position()
-    return shift(c, k), k
 
 
 def restrict(c: TwistedComplex, members: Sequence[int]) -> TwistedComplex:

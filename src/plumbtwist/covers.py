@@ -126,6 +126,8 @@ def fibre_rank(c: TwistedComplex, vertex: int) -> dict[int, int]:
     Cohomology ranks of the pairing with a cotangent fibre of Q_vertex: one
     generator per vertex summand at its position, only unit entries act.
     """
+    if not is_vertex(vertex):
+        raise CoverError(f"vertex must be 0 or 1, got {vertex!r}")
     require_valid(c, "fibre_rank input")
     field = c.params.field
     unit = "e0" if vertex == 0 else "e1"
@@ -141,10 +143,6 @@ def fibre_rank(c: TwistedComplex, vertex: int) -> dict[int, int]:
         if coeff:  # valid: a unit entry joins two vertex summands one position apart
             columns[c.summands[i].position][where[i]][where[j]] = coeff
     return graded_ranks(field, dims, columns)
-
-
-def fibre_total(c: TwistedComplex, vertex: int) -> int:
-    return total_rank(fibre_rank(c, vertex))
 
 
 # -- Betti feasibility ------------------------------------------------------------------

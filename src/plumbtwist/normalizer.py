@@ -5,16 +5,19 @@ single shifted core, emitting a verifiable braid-word certificate.
 The measure being decreased is the zig-zag complexity cx: weight a vertex-0
 slot at position i as 2i+1 and a vertex-1 slot as 2i, then cx is the spread
 between the heaviest and lightest occupied slot (the length of the longest
-zig-zag the complex can support). Each reduction step inspects whether
-vertex-1 lives at the bottom of the complex (case A) or not (case B). Case B
-is case A with the two cores' roles swapped, so one path serves both: it
-takes two twist letters from the bottom vertex, then looks at the outer n-2
-slots to choose the one that provably lowers cx for admissible complexes.
-The base case, where the complex is too short for any top-class arrow, tries
-the same letters and accepts whichever works, with a bounded word search as
-a last resort. A step makes no structural pre-check of its input against the
-case analysis: a step that does not lower cx raises, and normalize then
-classifies the failure by admissibility, so no verdict would read one.
+zig-zag the complex can support). A shift moves every weight by the same
+amount, so cx, and the profile read from the lowest occupied position, are
+the same in every frame: a step reads them from its input as it stands.
+Each reduction step inspects whether vertex-1 lives at the bottom of the
+complex (case A) or not (case B). Case B is case A with the two cores'
+roles swapped, so one path serves both: it takes two twist letters from
+the bottom vertex, then looks at the outer n-2 slots to choose the one that
+provably lowers cx for admissible complexes. The base case, where the
+complex is too short for any top-class arrow, tries the same letters and
+accepts whichever works, with a bounded word search as a last resort. A
+step makes no structural pre-check of its input against the case analysis:
+a step that does not lower cx raises, and normalize then classifies the
+failure by admissibility, so no verdict would read one.
 
 Certificates are never trusted from the trace. The reduction starts from
 minimize(c), the first call apply_braid(word, c) makes, and each step twists
@@ -41,13 +44,10 @@ from typing import NamedTuple
 
 from .complexes import (
     ComplexError,
-    Summand,
     TwistedComplex,
-    _assemble,
     hom_complex,
     minimize,
     require_valid,
-    shift_normalized,
 )
 from .twists import BraidLetter, BraidWord, apply_letter, braid_images, word_to_string
 
@@ -92,16 +92,18 @@ class ComplexityReport(NamedTuple):
 
 
 def complexity(c: TwistedComplex) -> ComplexityReport:
-    """Zig-zag complexity; the complex must be nonempty with lowest position 0."""
+    """
+    Zig-zag complexity of a nonempty complex. Positions in the report count
+    from the lowest occupied one, so a shift of c leaves the report as it is.
+    """
     if c.is_empty:
         raise PreconditionViolated("complexity of an empty complex is undefined")
-    if c.min_position() != 0:
-        raise PreconditionViolated("complexity expects the lowest occupied position to be 0")
+    low = c.min_position()
     u, v = c.profile()
     return ComplexityReport(
-        top_index=max(list(u) + list(v)),
-        u_profile=tuple(sorted(u.items())),
-        v_profile=tuple(sorted(v.items())),
+        top_index=max(list(u) + list(v)) - low,
+        u_profile=tuple(sorted((i - low, m) for i, m in u.items())),
+        v_profile=tuple(sorted((i - low, m) for i, m in v.items())),
         cx=_spread(c),
     )
 
@@ -131,45 +133,6 @@ def admissible(c: TwistedComplex) -> AdmissibleReport:
     return AdmissibleReport(ok=not bad, negative_degrees=bad)
 
 
-def first_step_holds(c: TwistedComplex) -> bool | None:
-    """
-    The end-slot dichotomy on a shift-normalized complex: vertex 1 occupies
-    the bottom iff vertex 0 occupies the top. Only meaningful when the
-    complex spans more than one position (returns None otherwise: a complex
-    concentrated in one position has nothing to balance).
-    """
-    work, _ = shift_normalized(c)
-    if work.is_empty:
-        return None
-    u, v = work.profile()
-    top = max(list(u) + list(v))
-    if top == 0:
-        return None
-    return (v.get(0, 0) > 0) == (u.get(top, 0) > 0)
-
-
-# -- relabelling -----------------------------------------------------------------------
-
-_RELABEL = {"e0": "e1", "e1": "e0", "p": "q", "q": "p", "f0": "f1", "f1": "f0"}
-
-
-def relabel(c: TwistedComplex) -> TwistedComplex:
-    """
-    The row swap (Q0, Q1) -> (Q1[n-2], Q0): vertex-1 summands move to vertex 0
-    with positions dropped by n-2, vertex-0 summands become vertex 1 in place,
-    and every arrow label swaps accordingly. Involutive up to shift.
-    """
-    if not c.params.spherical:
-        raise PreconditionViolated("relabelling swaps the two cores, so both must be spherical")
-    drop = c.params.n - 2
-    summands = [
-        Summand(0, s.position - drop) if s.vertex == 1 else Summand(1, s.position)
-        for s in c.summands
-    ]
-    delta = {slot: {_RELABEL[name]: coeff for name, coeff in combo.items()} for slot, combo in c.delta.items()}
-    return _assemble(c.params, summands, delta)
-
-
 # -- one reduction step -------------------------------------------------------------------
 
 BASE_SEARCH_LENGTH = 3  # the longest word the base case's fallback search tries
@@ -186,17 +149,17 @@ class ReductionStep(NamedTuple):
 def reduction_step(c: TwistedComplex) -> ReductionStep:
     """
     One complexity-lowering twist on a minimized, nonempty, admissible complex
-    with cx > 0. Every decision is made on a shift-normalized copy of c; the
-    chosen letters are then applied to c itself, so result is in c's frame
-    and is no longer re-normalized: it is apply_braid(letters, c). Raises
+    with cx > 0. Every decision reads complexity(c), whose positions count
+    from the lowest occupied one, so a shift of c gets the same decision and
+    no copy of c is made. The chosen letters are applied to c itself, so
+    result is in c's frame: it is apply_braid(letters, c). Raises
     NormalizerDeadEnd when the case dichotomy fails or the base-case search
     finds no word, ComplexityNotReduced when the selected letter does not
     work, and PreconditionViolated for case B outside the base case over a
     non-spherical Q0: case B is case A with the cores' roles swapped, which
     needs both cores spherical.
     """
-    work, _ = shift_normalized(c)
-    rep = complexity(work)
+    rep = complexity(c)
     if rep.cx == 0:
         raise PreconditionViolated("reduction_step needs cx > 0")
     n = c.params.n

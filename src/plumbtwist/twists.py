@@ -80,10 +80,6 @@ def word_to_string(word: BraidWord) -> str:
     return " ".join(str(letter) for letter in word)
 
 
-def invert_word(word: BraidWord) -> BraidWord:
-    return tuple(letter.inverse() for letter in reversed(word))
-
-
 # -- the twist functors -----------------------------------------------------------------
 
 

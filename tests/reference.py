@@ -1,16 +1,23 @@
 """
-Reference bodies for library operations that were rewritten for speed,
-kept as they were so the tests can compare the fast versions against them.
+Reference bodies the tests compare the library against, in two kinds.
 
+Library operations that were rewritten for speed, kept as they were.
 minimize rescans all of delta for each cancellation: it picks the smallest
 unit slot with min() over delta and collects the zig-zag's two sides by
 filtering delta, so it is quadratic in the number of entries, but it is the
 plain statement of the algorithm. decompose restricts the minimized complex
 to each piece separately, one pass over delta per piece.
+
+Oracles for the normalizer, which no library code calls. shift_normalized
+is the frame with lowest occupied position 0, in which the step corpus of
+the normalizer goldens is pinned. first_step_holds states the end-slot
+dichotomy that reduction_step raises on, and relabel is the row swap of
+the two cores that makes case B of a step case A.
 """
 
-from plumbtwist.complexes import TwistedComplex, _assemble, _compose_slots, require_valid
+from plumbtwist.complexes import Summand, TwistedComplex, _assemble, _compose_slots, require_valid, shift
 from plumbtwist.complexes import minimize as library_minimize
+from plumbtwist.normalizer import PreconditionViolated
 
 Combo = dict
 
@@ -76,3 +83,57 @@ def decompose(c: TwistedComplex) -> list[TwistedComplex]:
     pieces = [restrict(m, sorted(members)) for members in groups.values()]
     pieces.sort(key=lambda piece: min((s.position, s.vertex) for s in piece.summands))
     return pieces
+
+
+# -- normalizer oracles ---------------------------------------------------------------------
+
+
+def shift_normalized(c: TwistedComplex) -> tuple[TwistedComplex, int]:
+    """
+    The reference frame for complexity's relative positions: c shifted so
+    its lowest occupied position is 0, and the shift applied.
+    """
+    if c.is_empty:
+        return c, 0
+    k = c.min_position()
+    return shift(c, k), k
+
+
+def first_step_holds(c: TwistedComplex) -> bool | None:
+    """
+    The reference for the end-slot dichotomy reduction_step raises on:
+    vertex 1 occupies the bottom iff vertex 0 occupies the top. Only
+    meaningful when the complex spans more than one position (returns None
+    otherwise: a complex concentrated in one position has nothing to
+    balance).
+    """
+    work, _ = shift_normalized(c)
+    if work.is_empty:
+        return None
+    u, v = work.profile()
+    top = max(list(u) + list(v))
+    if top == 0:
+        return None
+    return (v.get(0, 0) > 0) == (u.get(top, 0) > 0)
+
+
+_RELABEL = {"e0": "e1", "e1": "e0", "p": "q", "q": "p", "f0": "f1", "f1": "f0"}
+
+
+def relabel(c: TwistedComplex) -> TwistedComplex:
+    """
+    The A/B-symmetry oracle: the row swap (Q0, Q1) -> (Q1[n-2], Q0), under
+    which case B of reduction_step is case A. Vertex-1 summands move to
+    vertex 0 with positions dropped by n-2, vertex-0 summands become vertex
+    1 in place, and every arrow label swaps accordingly. Involutive up to
+    shift.
+    """
+    if not c.params.spherical:
+        raise PreconditionViolated("relabelling swaps the two cores, so both must be spherical")
+    drop = c.params.n - 2
+    summands = [
+        Summand(0, s.position - drop) if s.vertex == 1 else Summand(1, s.position)
+        for s in c.summands
+    ]
+    delta = {slot: {_RELABEL[name]: coeff for name, coeff in combo.items()} for slot, combo in c.delta.items()}
+    return _assemble(c.params, summands, delta)

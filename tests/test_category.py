@@ -43,8 +43,8 @@ def test_morphism_spaces_with_interior_classes(cat4_cp2):
 def test_units_are_strict(cat3):
     for name in ("p", "q", "f0", "f1", "e0", "e1"):
         m = cat3.by_name[name]
-        post_unit = cat3.unit(m.target).name
-        pre_unit = cat3.unit(m.source).name
+        post_unit = f"e{m.target}"
+        pre_unit = f"e{m.source}"
         assert cat3.compose_names(post_unit, name) == (name, 1)
         assert cat3.compose_names(name, pre_unit) == (name, 1)
 

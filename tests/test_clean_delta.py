@@ -34,7 +34,6 @@ from plumbtwist.complexes import (
 )
 from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.linalg import axpy
-from plumbtwist.normalizer import relabel
 from plumbtwist.serialize import complex_to_dict
 from plumbtwist.twists import apply_braid, twist
 
@@ -100,7 +99,7 @@ def test_library_constructions_build_clean_unshared_deltas(characteristic):
             (cone(identity(c, x)), (c,)),
             (minimize(cone(identity(c, x))), ()),
             (minimize(c), (c,)),
-            (relabel(c), (c,)),
+            (reference.relabel(c), (c,)),
         ]
         # The inverse twist takes its minimized cone's delta over, so both directions are checked.
         built += [(twist(c, vertex, power), (c,)) for vertex in (0, 1) for power in (1, -1)]

@@ -4,8 +4,10 @@ import pytest
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
+    Morphism,
     Summand,
     TwistedComplex,
+    cone,
     direct_sum,
     equivalent,
     hf_ranks,
@@ -26,7 +28,6 @@ from plumbtwist.covers import (
     boundary_rank_check,
     decompose,
     fibre_rank,
-    fibre_total,
     specialize,
     truncation_feasibility,
 )
@@ -121,7 +122,7 @@ def test_decompose_obstruction_after_specialize(P2, PQ):
     for params, cover in ((P2, CoverSpec(1, 2)), (PQ, CoverSpec(1, INFINITE))):
         pieces = decompose(specialize(obstruction_complex(params), cover))
         assert len(pieces) == 2
-        assert sorted(fibre_total(p, 0) for p in pieces) == [0, 1]
+        assert sorted(sum(fibre_rank(p, 0).values()) for p in pieces) == [0, 1]
         for p in pieces:
             assert validate(p) == []
 
@@ -171,7 +172,21 @@ def test_decompose_splits_delta_as_restricting_each_piece_does(characteristic):
 def test_fibre_rank_of_cores(P2):
     assert fibre_rank(single_core(P2, 0), 0) == {0: 1}
     assert fibre_rank(single_core(P2, 1), 0) == {}
-    assert fibre_total(single_core(P2, 1), 1) == 1
+    assert sum(fibre_rank(single_core(P2, 1), 1).values()) == 1
+
+
+@pytest.mark.parametrize("vertex", (2, -1, True, 1.0), ids=repr)
+def test_fibre_rank_refuses_what_is_no_vertex(vertex):
+    # Without the vertex rule, 2 and -1 raise KeyError on a unit entry and read as {}
+    # without one, and True and 1.0 compute vertex 1.
+    q1 = single_core(make_params(3), 1)
+    image = apply_braid("s1 s0", q1)
+    contractible = cone(Morphism(q1, q1, 0, {(0, 0): {"e1": 1}}))
+    assert (fibre_rank(image, 0), fibre_rank(image, 1)) == ({2: 1}, {2: 1})
+    assert (fibre_rank(contractible, 0), fibre_rank(contractible, 1)) == ({}, {})
+    for c in (image, contractible):
+        with pytest.raises(CoverError, match="vertex must be 0 or 1"):
+            fibre_rank(c, vertex)
 
 
 def test_fibre_rank_discriminates_the_two_pieces(P2):
@@ -179,8 +194,8 @@ def test_fibre_rank_discriminates_the_two_pieces(P2):
     with_sphere = [p for p in pieces if any(s.vertex == 0 for s in p.summands)]
     without = [p for p in pieces if all(s.vertex != 0 for s in p.summands)]
     assert len(with_sphere) == 1 and len(without) == 1
-    assert fibre_total(with_sphere[0], 0) == 1
-    assert fibre_total(without[0], 0) == 0
+    assert sum(fibre_rank(with_sphere[0], 0).values()) == 1
+    assert sum(fibre_rank(without[0], 0).values()) == 0
     # no shift of the sphere-free piece matches the sphere-bearing one
     for k in range(-3, 4):
         assert equivalent(shift(without[0], k), with_sphere[0]) == NO
@@ -191,7 +206,7 @@ def test_fibre_rank_additive_over_decompose(P2):
     s = specialize(c, CoverSpec(1, 2))
     pieces = decompose(s)
     for vertex in (0, 1):
-        assert fibre_total(minimize(s), vertex) == sum(fibre_total(p, vertex) for p in pieces)
+        assert sum(fibre_rank(minimize(s), vertex).values()) == sum(sum(fibre_rank(p, vertex).values()) for p in pieces)
 
 
 def test_fibre_rank_quasi_isomorphism_invariant_on_corpus(P2):
@@ -202,7 +217,7 @@ def test_fibre_rank_quasi_isomorphism_invariant_on_corpus(P2):
         c = apply_braid(word, q0)
         m = minimize(c)
         for vertex in (0, 1):
-            assert fibre_total(c, vertex) == fibre_total(m, vertex)
+            assert sum(fibre_rank(c, vertex).values()) == sum(fibre_rank(m, vertex).values())
 
 
 # -- feasibility -----------------------------------------------------------------------------

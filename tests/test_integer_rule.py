@@ -13,7 +13,7 @@ import pytest
 import plumbtwist
 from plumbtwist.category import CategoryParams, ParameterError, make_params
 from plumbtwist.complexes import ComplexError, Summand, TwistedComplex, hf_ranks, require_valid, single_core, validate
-from plumbtwist.covers import CoverError, CoverSpec
+from plumbtwist.covers import CoverError, CoverSpec, fibre_rank
 from plumbtwist.linalg import Field, FieldError
 from plumbtwist.twists import BraidLetter, twist
 
@@ -28,6 +28,7 @@ ENTRY_POINTS = {
     "BraidLetter vertex": (lambda v: BraidLetter(v, 1), ValueError),
     "BraidLetter power": (lambda v: BraidLetter(0, v), ValueError),
     "CoverSpec": (CoverSpec, CoverError),
+    "fibre_rank vertex": (lambda v: fibre_rank(Q0, v), CoverError),
     "twist power": (lambda v: twist(Q0, 0, v), ValueError),
     "validate vertex": (lambda v: require_valid(TwistedComplex(P, [Summand(v, 0)])), ComplexError),
     "validate position": (lambda v: require_valid(TwistedComplex(P, [Summand(0, v)])), ComplexError),

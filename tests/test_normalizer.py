@@ -12,7 +12,6 @@ from plumbtwist.complexes import (
     hf_ranks,
     minimize,
     shift,
-    shift_normalized,
     single_core,
     validate,
 )
@@ -22,20 +21,20 @@ from plumbtwist.normalizer import (
     CertificateError,
     ComplexityNotReduced,
     InadmissibleInput,
+    NormalizeError,
     NormalizerDeadEnd,
     PreconditionViolated,
     admissible,
     complexity,
-    first_step_holds,
     normalize,
     reduction_step,
-    relabel,
     slot_weight,
 )
 from plumbtwist.twists import BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word, refuse_oracle
-from test_normalizer_golden import inadmissible_corpus
+from reference import first_step_holds, relabel, shift_normalized
+from test_normalizer_golden import CASES, inadmissible_corpus
 from test_properties import _gauge
 
 
@@ -104,9 +103,29 @@ def test_complexity_matches_zigzag_oracle_on_shapes(P):
         assert complexity(w).cx == zigzag_length_oracle(w)
 
 
-def test_complexity_requires_normalization(P):
-    with pytest.raises(PreconditionViolated):
-        complexity(shift(single_core(P, 0), 1))
+def _step_in_frame(c, k):
+    """reduction_step(c) with its result shifted by k, or the class and message of what it raises."""
+    try:
+        step = reduction_step(c)
+    except NormalizeError as exc:
+        return type(exc), str(exc)
+    result = shift(step.result, k)
+    return step.letters, step.case, step.cx_before, step.cx_after, result.summands, result.delta
+
+
+def test_step_is_frame_free():
+    # complexity counts positions from the lowest occupied one, so a step
+    # reads the same profile, and decides the same, on every shift of c.
+    for n, characteristic in CASES:
+        params = make_params(n, characteristic)
+        rng = random.Random(f"frame/{n}/{characteristic}")
+        images = [apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2))) for _ in range(20)]
+        corpus = [c for c in images if complexity(c).cx > 0] + list(inadmissible_corpus(n, characteristic))
+        for c in corpus:
+            for k in (-3, 2):
+                moved = shift(c, k)
+                assert complexity(moved) == complexity(c)
+                assert _step_in_frame(moved, 0) == _step_in_frame(c, k)
 
 
 # -- admissibility and the end-slot dichotomy ------------------------------------------

@@ -32,12 +32,13 @@ import random
 import pytest
 
 from plumbtwist.category import make_params
-from plumbtwist.complexes import direct_sum, minimize, shift, shift_normalized, single_core
+from plumbtwist.complexes import direct_sum, minimize, shift, single_core
 from plumbtwist.normalizer import NormalizeError, admissible, complexity, normalize, reduction_step
 from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import apply_braid, word_to_string
 
 from conftest import random_word
+from reference import shift_normalized
 
 CASES = [(n, characteristic) for n in (3, 4, 5) for characteristic in (2, 32003, 0)]
 

@@ -6,11 +6,13 @@ and with the reprs the golden digests and error messages were made with.
 import pytest
 
 from plumbtwist.category import CategoryParams, category_for, make_params
-from plumbtwist.complexes import Morphism, Summand, Violation, shift_normalized, single_core
+from plumbtwist.complexes import Morphism, Summand, Violation, single_core
 from plumbtwist.covers import INFINITE, BettiVector, BoundaryRankReport, CoverError, CoverSpec, truncation_feasibility
 from plumbtwist.linalg import Field
 from plumbtwist.normalizer import admissible, complexity, normalize, reduction_step
 from plumbtwist.twists import BraidLetter, apply_braid
+
+from reference import shift_normalized
 
 P = make_params(3)
 

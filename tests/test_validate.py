@@ -42,7 +42,7 @@ def reference_validate(c: TwistedComplex) -> list[Violation]:
         if i == j:
             out.append(Violation("triangularity", (i, j), "self-loop entry"))
         a, b = c.summands[i], c.summands[j]
-        want = c.entry_degree(i, j)
+        want = a.position - b.position + 1
         for name in sorted(combo):
             m = cat.by_name.get(name)
             if m is None or m.source != a.vertex or m.target != b.vertex:
@@ -99,7 +99,7 @@ def _well_typed_slots(c):
     for i, a in enumerate(c.summands):
         for j, b in enumerate(c.summands):
             if i != j and (i, j) not in c.delta:
-                names = [m.name for m in cat.morphism_space(a.vertex, b.vertex) if m.degree == c.entry_degree(i, j)]
+                names = [m.name for m in cat.morphism_space(a.vertex, b.vertex) if m.degree == a.position - b.position + 1]
                 if names:
                     out.append(((i, j), names))
     return out
@@ -137,7 +137,7 @@ def corruptions(c: TwistedComplex, rng: random.Random) -> dict[str, TwistedCompl
     for i, j in rng.sample(slots, len(slots)):
         a, b = c.summands[i], c.summands[j]
         typed = [m.name for m in category_for(c.params).morphism_space(a.vertex, b.vertex)
-                 if m.degree != c.entry_degree(i, j)]
+                 if m.degree != a.position - b.position + 1]
         if typed:
             delta[(i, j)][rng.choice(typed)] = _random_value(rng, field)
     out["degree"] = _rebuilt(c, delta=delta)
