@@ -13,11 +13,11 @@ complex (case A) or not (case B). Case B is case A with the two cores'
 roles swapped, so one path serves both: it takes two twist letters from
 the bottom vertex, then looks at the outer n-2 slots to choose the one that
 provably lowers cx for admissible complexes. The base case, where the
-complex is too short for any top-class arrow, tries the same letters and
-accepts whichever works, with a bounded word search as a last resort. A
-step makes no structural pre-check of its input against the case analysis:
-a step that does not lower cx raises, and normalize then classifies the
-failure by admissibility, so no verdict would read one.
+complex is too short for any top-class arrow, tries the same two letters
+in order and takes the first that lowers cx. A step makes no structural
+pre-check of its input against the case analysis: a step that does not
+lower cx raises, and normalize then classifies the failure by
+admissibility, so no verdict would read one.
 
 Certificates are never trusted from the trace. The reduction starts from
 minimize(c), the first call apply_braid(word, c) makes, and each step twists
@@ -49,7 +49,7 @@ from .complexes import (
     minimize,
     require_valid,
 )
-from .twists import BraidLetter, BraidWord, apply_letter, braid_images, word_to_string
+from .twists import BraidLetter, BraidWord, apply_letter, word_to_string
 
 
 class NormalizeError(RuntimeError):
@@ -135,9 +135,6 @@ def admissible(c: TwistedComplex) -> AdmissibleReport:
 
 # -- one reduction step -------------------------------------------------------------------
 
-BASE_SEARCH_LENGTH = 3  # the longest word the base case's fallback search tries
-
-
 class ReductionStep(NamedTuple):
     letters: BraidWord
     case: str
@@ -153,8 +150,8 @@ def reduction_step(c: TwistedComplex) -> ReductionStep:
     from the lowest occupied one, so a shift of c gets the same decision and
     no copy of c is made. The chosen letters are applied to c itself, so
     result is in c's frame: it is apply_braid(letters, c). Raises
-    NormalizerDeadEnd when the case dichotomy fails or the base-case search
-    finds no word, ComplexityNotReduced when the selected letter does not
+    NormalizerDeadEnd when the case dichotomy fails or neither base-case
+    letter lowers cx, ComplexityNotReduced when the selected letter does not
     work, and PreconditionViolated for case B outside the base case over a
     non-spherical Q0: case B is case A with the cores' roles swapped, which
     needs both cores spherical.
@@ -199,22 +196,15 @@ def reduction_step(c: TwistedComplex) -> ReductionStep:
                 f"case {tag} letter {letter} raised cx {rep.cx} -> {after}; input was presumably inadmissible")
         return ReductionStep((letter,), tag, rep.cx, after, result)
 
-    # Base case: the complex is too short for any top-class arrow. Try the two
-    # case letters, then fall back to a bounded word search. braid_images
-    # minimizes c first, which leaves a minimized c as it is.
-    def candidates():
-        for letter, tag in choices:
-            yield (letter,), f"base-{tag}", apply_letter(letter, c)
-        for word, result in braid_images(c, BASE_SEARCH_LENGTH):
-            yield word, "fallback", result
-
-    for word, tag, result in candidates():
+    # Base case: the complex is too short for any top-class arrow. Take the
+    # first case letter that lowers cx.
+    for letter, tag in choices:
+        result = apply_letter(letter, c)
         if not result.is_empty:
             after = _spread(result)
             if after < rep.cx:
-                return ReductionStep(word, tag, rep.cx, after, result)
-    raise NormalizerDeadEnd(
-        f"no word of length <= {BASE_SEARCH_LENGTH} lowers cx from {rep.cx} in the base case")
+                return ReductionStep((letter,), f"base-{tag}", rep.cx, after, result)
+    raise NormalizerDeadEnd(f"neither case letter lowers cx from {rep.cx} in the base case")
 
 
 # -- full normalization --------------------------------------------------------------------
@@ -295,9 +285,7 @@ def _certify(start: TwistedComplex) -> Certificate:
     keeps it nonempty, checked on its last result. Each step twists the
     previous result in its own frame, so the last result is
     apply_braid(word, c), made by the calls apply_braid makes: minimize(c),
-    then one twist per letter. A base-case fallback word's images come from
-    braid_images(current, ...), which minimizes current first; minimize is
-    idempotent, so they are the same images.
+    then one twist per letter.
     """
     trace: list[TraceEntry] = []
     current, cx = start, _spread(start)

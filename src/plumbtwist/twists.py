@@ -148,7 +148,11 @@ def braid_images(c: TwistedComplex, max_length: int):
     shortest first and in itertools.product(LETTERS, repeat=length) order
     within one length. Each image is its prefix's image twisted once, and
     only the images along the current prefix are held. Trusts c, as apply_braid does.
+    A max_length that is not a non-negative int raises ValueError at the call, before any twist.
     """
+    if not (is_int(max_length) and max_length >= 0):
+        raise ValueError(f"max_length must be a non-negative integer, got {max_length!r}")
+
     def extend(word, image, length):
         if len(word) == length:
             yield word, image
@@ -157,14 +161,14 @@ def braid_images(c: TwistedComplex, max_length: int):
             yield from extend(word + (letter,), apply_letter(letter, image), length)
 
     start = minimize(c)
-    for length in range(1, max_length + 1):
-        yield from extend((), start, length)
+    return (pair for length in range(1, max_length + 1) for pair in extend((), start, length))
 
 
 def core_orbit_witness(n: int, characteristic: int = 32003, max_length: int = 4) -> tuple[BraidWord, int]:
     """
     A braid word w and shift s with apply_braid(w, Q0) = Q1[s] on the nose,
     the first of braid_images(Q0, max_length) to land there (shortest first).
+    A max_length that is not a non-negative int raises ValueError before any twist.
     """
     q0 = single_core(make_params(n, characteristic), 0)
     for word, result in braid_images(q0, max_length):

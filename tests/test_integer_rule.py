@@ -1,8 +1,8 @@
 """
 The integer rule: where the package expects an integer (a characteristic, a
-vertex, a twist power, a summand position), every entry point refuses a bool,
-a float, a string and None with its own exception type. linalg.is_int is the
-one place that tells a bool from an int.
+vertex, a twist power, a summand position, a word length), every entry point
+refuses a bool, a float, a string and None with its own exception type.
+linalg.is_int is the one place that tells a bool from an int.
 """
 
 import ast
@@ -15,7 +15,8 @@ from plumbtwist.category import CategoryParams, ParameterError, make_params
 from plumbtwist.complexes import ComplexError, Summand, TwistedComplex, hf_ranks, require_valid, single_core, validate
 from plumbtwist.covers import CoverError, CoverSpec, fibre_rank
 from plumbtwist.linalg import Field, FieldError
-from plumbtwist.twists import BraidLetter, twist
+from plumbtwist import twists
+from plumbtwist.twists import BraidLetter, braid_images, core_orbit_witness, twist
 
 P = make_params(3)
 Q0 = single_core(P, 0)
@@ -30,6 +31,7 @@ ENTRY_POINTS = {
     "CoverSpec": (CoverSpec, CoverError),
     "fibre_rank vertex": (lambda v: fibre_rank(Q0, v), CoverError),
     "twist power": (lambda v: twist(Q0, 0, v), ValueError),
+    "core_orbit_witness max_length": (lambda v: core_orbit_witness(3, max_length=v), ValueError),
     "validate vertex": (lambda v: require_valid(TwistedComplex(P, [Summand(v, 0)])), ComplexError),
     "validate position": (lambda v: require_valid(TwistedComplex(P, [Summand(0, v)])), ComplexError),
 }
@@ -56,6 +58,19 @@ def test_float_and_bool_letters_are_refused():
         BraidLetter(1.0, -1.0)  # printed as S1.0 at the parent, which parse_word refuses
     with pytest.raises(CoverError, match="covered_vertex"):
         CoverSpec(0.0)
+
+
+def test_a_negative_max_length_is_refused_before_any_twist(monkeypatch):
+    # A negative length is the caller's error, not an exhausted search: SearchExhausted
+    # would report that the single-orbit picture fails.
+    def refuse(*args, **kwargs):
+        raise AssertionError("twisted before refusing max_length")
+
+    monkeypatch.setattr(twists, "twist", refuse)
+    with pytest.raises(ValueError, match="non-negative integer, got -1"):
+        core_orbit_witness(3, max_length=-1)
+    with pytest.raises(ValueError, match="non-negative integer, got -1"):
+        braid_images(Q0, -1)  # at the call, not at the first next()
 
 
 def test_validate_refuses_a_bool_vertex_and_a_float_position():

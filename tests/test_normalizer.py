@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
@@ -30,7 +31,7 @@ from plumbtwist.normalizer import (
     reduction_step,
     slot_weight,
 )
-from plumbtwist.twists import BraidLetter, apply_braid
+from plumbtwist.twists import LETTERS, BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word, refuse_oracle
 from reference import first_step_holds, relabel, shift_normalized
@@ -393,6 +394,17 @@ def test_normalize_certifies_many_copies(characteristic, m):
         assert_replays_on_the_nose(normalize(c), c, m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS), max_size=8), st.integers(0, 1), st.integers(-4, 4), st.integers(1, 3),
+       st.sampled_from((3, 4, 5)), st.sampled_from((2, 5, 32003, 0)), st.randoms(use_true_random=False))
+def test_normalize_certifies_gauged_braid_images_and_their_copies(word, vertex, s, m, n, characteristic, rng):
+    # Every such complex lies in a core's orbit, and a certificate is accepted only on the
+    # nose: a step the reduction cannot find shows here as a refusal.
+    image = shift(apply_braid(word, single_core(make_params(n, characteristic), vertex)), s)
+    c = _gauge(copies(image, m), rng)
+    assert_replays_on_the_nose(normalize(c), c, m)
+
+
 def test_normalize_never_asks_the_oracle(monkeypatch):
     monkeypatch.setattr(complexes, "invertible_combinations", refuse_oracle)
     for characteristic in (2, 32003, 0):
@@ -424,10 +436,9 @@ def test_replay_off_one_shifted_core_is_refused(monkeypatch, P, extra):
 
 
 @pytest.mark.parametrize("characteristic", (2, 32003, 0))
-def test_exhausted_base_case_search_twists_each_prefix_once(monkeypatch, characteristic):
-    # Q0[-1] + Q0 + Q1 is inadmissible and too short for a top-class arrow. The search
-    # tries the two case letters, then words of length 1, 2 and 3, each extending its
-    # prefix's image by one twist: 2 + 4 + (4 + 16) + (4 + 16 + 64) = 110 twists.
+def test_failed_base_case_twists_each_case_letter_once(monkeypatch, characteristic):
+    # Q0[-1] + Q0 + Q1 is inadmissible and too short for a top-class arrow. The base case
+    # tries its two case letters, one twist each, and raises when neither lowers cx.
     params = make_params(3, characteristic)
     c = TwistedComplex(params, [Summand(0, 1), Summand(0, 0), Summand(1, 0)])
     calls = []
@@ -438,6 +449,6 @@ def test_exhausted_base_case_search_twists_each_prefix_once(monkeypatch, charact
         return real(*args, **kwargs)
 
     monkeypatch.setattr(twists, "twist", counted)
-    with pytest.raises(NormalizerDeadEnd, match="no word of length <= 3"):
+    with pytest.raises(NormalizerDeadEnd, match="^neither case letter lowers cx from 3 in the base case$"):
         reduction_step(c)
-    assert len(calls) == 110
+    assert len(calls) == 2

@@ -21,9 +21,15 @@ step corpus is inadmissible, so normalize raises InadmissibleInput for each
 one and none of the step messages reach the CLI: that corpus pins
 reduction_step itself. A refactor of the case analysis must leave every
 digest unchanged. Between them the first two corpora reach the tags A1, A2, B1,
-B2, base-A1, base-A2, base-B1 (only in certificates), base-B2 and fallback,
-every NormalizerDeadEnd message of the main case and of the base case's
-search, and one ComplexityNotReduced.
+B2, base-A1, base-A2, base-B1 (only in certificates) and base-B2, every
+NormalizerDeadEnd message of the main case and of the base case, and one
+ComplexityNotReduced.
+
+Run as a script, it prints the lines one digest hashes, so a re-pin can be
+diffed line by line:
+
+    PYTHONPATH=src python tests/test_normalizer_golden.py steps 3 2
+    PYTHONPATH=src python tests/test_normalizer_golden.py non-spherical 4 0 1,0,2,0,1
 """
 
 import hashlib
@@ -57,15 +63,15 @@ GOLDEN_CERTIFICATES = {
 }
 
 GOLDEN_STEPS = {
-    (3, 2): "729f5ee7981d87ee8ab7d6a7ff18c428399f2926749e0e886aba4f22afea9766",
-    (3, 32003): "3ed21eead707c48fc62f8b2d7286aa6369ffdfb1120da8507fabe2b1b998e0ed",
-    (3, 0): "c5e8a4cf8c465e4be24f2c50f69b7de34f01a3775fdb3a04f54b65c6dc188485",
-    (4, 2): "f0be713b3a2490b3e902447753e1fccec4c855ce8acdce2ae454a713ae603cca",
-    (4, 32003): "0e96bda223f1a596ae4c24c61c2c2a8973551217396013ffe12d1cdcbd57fc4e",
-    (4, 0): "068d3b7a381da77c397affda2098be8487676997e363dcf94d815d41ccf2d16f",
-    (5, 2): "37ef1450cb104430934d584f3fe894babd1a5c465bd4ef7f7cec80fe210eae94",
-    (5, 32003): "42e0709ede2e5c0bf44adec3e1fadd60c263d6a9ef59485fedb340d56655c310",
-    (5, 0): "1a6990a317e33cf4606880ab1813f07112dee4e0826249c3dd605393ef075ca9",
+    (3, 2): "adb25f1f293e723261ee566eb408edf827f89dbec814fc97b8d85e603e81ef12",
+    (3, 32003): "82b9bcab48477ae4c5c47197c0ce338f4b8e8cb8da92c61459b063f1caa6634b",
+    (3, 0): "e2abd25efba7b25c0a1d8bd3aaa7501ab23ec22e500cf295b591b233d5953179",
+    (4, 2): "d0d995babebeeeba4b91c1d50deb00251c554c037a86e5b50dfee8b8ffa23d6c",
+    (4, 32003): "767cb4387e6b1228346d0db35bbc6ebcb6f3402f588dfd788b1a7f9a01717bc0",
+    (4, 0): "3c81693d8093f858ee929376605ea2d46ba0153dc0a30acca100975a087a7c89",
+    (5, 2): "a031a81e257fb85985e9d2fc53b5a4ed4ca95f7aeae0b87f8d94b3eb84d3f4bd",
+    (5, 32003): "7782e7b91d16ba7779f1e70534ecb1929fdc564246818abf0109e36ee18cebd7",
+    (5, 0): "37564992b2f344505d5db0e5266b5b624e5c06907f473ce890a596f849ac0439",
 }
 
 GOLDEN_NON_SPHERICAL = {
@@ -177,3 +183,20 @@ def test_golden_reduction_steps(n, characteristic):
 @pytest.mark.parametrize("characteristic", (2, 32003, 0))
 def test_golden_non_spherical_verdicts(n, betti0, characteristic):
     assert digest(non_spherical_lines(n, betti0, characteristic)) == GOLDEN_NON_SPHERICAL[(n, betti0, characteristic)]
+
+
+if __name__ == "__main__":
+    import sys
+
+    corpus, n, characteristic, *betti0 = sys.argv[1:]
+    n, characteristic = int(n), int(characteristic)
+    if corpus == "certificates":
+        lines = certificate_lines(n, characteristic)
+    elif corpus == "steps":
+        lines = step_lines(n, characteristic)
+    elif corpus == "non-spherical":
+        lines = non_spherical_lines(n, tuple(int(b) for b in betti0[0].split(",")), characteristic)
+    else:
+        sys.exit(f"unknown corpus {corpus!r}; expected certificates, steps or non-spherical")
+    for line in lines:
+        print(line)
