@@ -683,9 +683,12 @@ INCONCLUSIVE = "inconclusive"
 
 def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     """
-    Sound three-valued quasi-isomorphism test: validate and minimize both,
-    compare summand multisets, then search the closed degree-0 maps for one
-    whose cone minimizes to the empty complex. Never returns a wrong yes/no.
+    Sound three-valued quasi-isomorphism test. Validate and minimize both and
+    compare summand multisets (a difference is no). Then look for a diagonal
+    isomorphism of the minimal models (_diagonal_witness), which decides
+    pairs that differ by a rescaling of each summand in O(len). Last, search
+    the closed degree-0 maps for one whose cone minimizes to the empty
+    complex (_search_kernel). Never returns a wrong yes/no.
     """
     require_same_params(c, d, "equivalent")
     require_valid(c, "equivalent's first input")
@@ -694,15 +697,59 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
     dm = minimize(d)
     if cm.summand_multiset() != dm.summand_multiset():
         return NO
-    if cm.is_empty:
+    if _diagonal_witness(cm, dm) is not None:  # the empty map, when both are empty
         return YES
+    return _search_kernel(cm, dm, seed)
 
+
+def _diagonal_witness(c: TwistedComplex, d: TwistedComplex) -> Morphism | None:
+    """
+    A closed map f: c -> d that is lam_i times the unit on each summand i, or
+    None. Only c and d with the same summands and the same slots are tried.
+    On slot (i, j), D f is lam_i d_ij - lam_j c_ij, so lam is set to 1 on the
+    first summand of each piece of the delta graph and carried along one
+    basis name of each entry; f is returned only if D f is then zero. Such
+    an f is an isomorphism: its inverse, 1/lam_i on each summand, is closed
+    by the same equations.
+    """
+    if c.summands != d.summands or c.delta.keys() != d.delta.keys():
+        return None
+    field = c.params.field
+    steps: list[list[tuple]] = [[] for _ in c.summands]  # (j, a, b) with lam_j = lam_i a / b
+    for (i, j), combo in c.delta.items():
+        name, x = next(iter(combo.items()))
+        y = d.delta[i, j].get(name)
+        if y is None:
+            return None
+        steps[i].append((j, y, x))
+        steps[j].append((i, x, y))
+    lam: list = [None] * len(c)
+    for root in range(len(c)):
+        if lam[root] is None:
+            lam[root] = field.one
+            todo = [root]
+            while todo:
+                i = todo.pop()
+                for j, a, b in steps[i]:
+                    if lam[j] is None:
+                        lam[j] = field.mul(lam[i], field.mul(a, field.inv(b)))
+                        todo.append(j)
+    f = Morphism(c, d, 0, {(i, i): {f"e{s.vertex}": x} for i, (s, x) in enumerate(zip(c.summands, lam))})
+    return None if f.differential().comps else f
+
+
+def _search_kernel(cm: TwistedComplex, dm: TwistedComplex, seed: int) -> str:
+    """
+    yes or inconclusive for minimal cm and dm with equal summand multisets:
+    sample the closed degree-0 maps cm -> dm whose unit part could be
+    invertible, and answer yes at the first whose cone minimizes to empty.
+    """
     hom = hom_complex(cm, dm, degrees={0})
     kernel = hom.kernel(0)
     if not kernel:
         return INCONCLUSIVE
 
-    field = c.params.field
+    field = cm.params.field
     eblocks = []  # the unit part of each kernel vector, as a sparse {(row, col): value} block
     for vec in kernel:
         comps = hom.morphism(0, vec).comps.items()

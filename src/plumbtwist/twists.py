@@ -127,7 +127,13 @@ def apply_braid(word, c: TwistedComplex) -> TwistedComplex:
 
 
 def check_braid_relation(c: TwistedComplex, seed: int = 0) -> str:
-    """equivalent(T0 T1 T0 (c), T1 T0 T1 (c)) as a yes/no/inconclusive verdict."""
+    """
+    equivalent(T0 T1 T0 (c), T1 T0 T1 (c)) as a yes/no/inconclusive verdict.
+    On a core, and on most of its braid images, the two sides minimize to
+    the same model up to a rescaling of each summand, so the oracle's
+    diagonal stage answers yes without building a hom complex; on the rest
+    its candidate search decides.
+    """
     require_valid(c, "braid relation input")
     left = apply_braid(parse_word("s0 s1 s0"), c)
     right = apply_braid(parse_word("s1 s0 s1"), c)

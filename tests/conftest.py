@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from plumbtwist import complexes
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
 from plumbtwist.linalg import Matrix, echelon_of, kernel_basis
@@ -90,6 +91,21 @@ def det_nonzero_calls(monkeypatch):
 
     monkeypatch.setattr(Matrix, "det_nonzero", counted)
     return calls
+
+
+@pytest.fixture
+def homs(monkeypatch):
+    """Every (source, target) pair a HomComplex is built for, recorded as it is built."""
+    built = []
+    real = complexes.HomComplex
+
+    class Recorded(real):
+        def __init__(self, c, d, degrees=None):
+            built.append((c, d))
+            super().__init__(c, d, degrees)
+
+    monkeypatch.setattr(complexes, "HomComplex", Recorded)
+    return built
 
 
 @pytest.fixture(scope="session")

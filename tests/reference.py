@@ -6,17 +6,27 @@ minimize rescans all of delta for each cancellation: it picks the smallest
 unit slot with min() over delta and collects the zig-zag's two sides by
 filtering delta, so it is quadratic in the number of entries, but it is the
 plain statement of the algorithm. decompose restricts the minimized complex
-to each piece separately, one pass over delta per piece.
+to each piece separately, one pass over delta per piece. equivalent is
+the quasi-isomorphism oracle before it looked for a diagonal isomorphism:
+after the multiset check it always builds the degree-0 kernel and samples
+it, so it is the reference for every pair the diagonal stage declines.
 
 Oracles for the normalizer, which no library code calls. shift_normalized
 is the frame with lowest occupied position 0, in which the step corpus of
 the normalizer goldens is pinned. first_step_holds states the end-slot
 dichotomy that reduction_step raises on, and relabel is the row swap of
 the two cores that makes case B of a step case A.
+
+gauge, the one input transform the tests share: an isomorphic copy of a
+complex with each summand rescaled by a unit.
 """
 
-from plumbtwist.complexes import Summand, TwistedComplex, _assemble, _compose_slots, require_valid, shift
+from fractions import Fraction
+
+from plumbtwist.complexes import (INCONCLUSIVE, NO, YES, Summand, TwistedComplex, _assemble, _compose_slots, cone,
+                                  hom_complex, require_same_params, require_valid, shift)
 from plumbtwist.complexes import minimize as library_minimize
+from plumbtwist.linalg import axpy, invertible_combinations
 from plumbtwist.normalizer import PreconditionViolated
 
 Combo = dict
@@ -83,6 +93,55 @@ def decompose(c: TwistedComplex) -> list[TwistedComplex]:
     pieces = [restrict(m, sorted(members)) for members in groups.values()]
     pieces.sort(key=lambda piece: min((s.position, s.vertex) for s in piece.summands))
     return pieces
+
+
+def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
+    """Validate and minimize both, compare summand multisets, then sample the degree-0 kernel."""
+    require_same_params(c, d, "equivalent")
+    require_valid(c, "equivalent's first input")
+    require_valid(d, "equivalent's second input")
+    cm = library_minimize(c)
+    dm = library_minimize(d)
+    if cm.summand_multiset() != dm.summand_multiset():
+        return NO
+    if cm.is_empty:
+        return YES
+
+    hom = hom_complex(cm, dm, degrees={0})
+    kernel = hom.kernel(0)
+    if not kernel:
+        return INCONCLUSIVE
+
+    field = c.params.field
+    eblocks = []  # the unit part of each kernel vector, as a sparse {(row, col): value} block
+    for vec in kernel:
+        comps = hom.morphism(0, vec).comps.items()
+        eblocks.append({(j, i): x for (i, j), combo in comps for name, x in combo.items() if name in ("e0", "e1")})
+    for coeffs in invertible_combinations(field, len(cm), eblocks, seed):
+        acc = {}
+        for cf, vec in zip(coeffs, kernel):
+            if cf:
+                axpy(acc, vec, cf, field.characteristic)
+        if library_minimize(cone(hom.morphism(0, acc))).is_empty:
+            return YES
+    return INCONCLUSIVE
+
+
+# -- input transforms ---------------------------------------------------------------------
+
+
+def gauge(c: TwistedComplex, rng) -> TwistedComplex:
+    """
+    An isomorphic copy of c: summand i rescaled by a unit u_i, so entry (i, j)
+    becomes u_j x / u_i. Over Q each u_i is a signed fraction of two digits.
+    """
+    field = c.params.field
+    p = field.characteristic
+    units = [rng.randrange(1, p) if p else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+             for _ in c.summands]
+    delta = {(i, j): {name: field.mul(field.mul(units[j], x), field.inv(units[i])) for name, x in combo.items()}
+             for (i, j), combo in c.delta.items()}
+    return TwistedComplex(c.params, c.summands, delta)
 
 
 # -- normalizer oracles ---------------------------------------------------------------------

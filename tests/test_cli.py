@@ -10,7 +10,7 @@ import plumbtwist
 from plumbtwist import category
 from plumbtwist.category import MAX_BETTI, MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
-from plumbtwist.complexes import Morphism, Summand, TwistedComplex, cone, direct_sum, single_core, validate
+from plumbtwist.complexes import Morphism, Summand, TwistedComplex, _search_kernel, cone, direct_sum, single_core, validate
 from plumbtwist.serialize import (
     DocumentError,
     ValidationRejection,
@@ -303,6 +303,8 @@ def test_cli_equiv_confirms_six_copies(tmp_path):
     proc = run_cli("equiv", "--a", str(f), "--b", str(f))
     assert proc.returncode == 0, proc.stdout
     assert json.loads(proc.stdout)["outputs"]["verdict"] == "yes"
+    # The CLI decides c against itself by the identity; the search at its default seed confirms it too.
+    assert _search_kernel(six, six, 0) == "yes"
 
 
 def test_cli_out_writes_the_report_instead_of_stdout(tmp_path, capsys):

@@ -19,6 +19,7 @@ from plumbtwist.complexes import (
     Morphism,
     Summand,
     TwistedComplex,
+    _search_kernel,
     cone,
     direct_sum,
     empty_complex,
@@ -35,6 +36,7 @@ from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import LETTERS, apply_braid
 
 from conftest import random_word
+from reference import gauge
 
 
 @pytest.fixture(scope="module", params=[3, 4])
@@ -375,16 +377,20 @@ def test_equivalent_braid_relation_words(P):
 def test_equivalent_confirms_many_copies(characteristic):
     # The degree-0 kernel of hom(c^m, c^m) has m^2 or more vectors, each of rank
     # one on its own; only points with many nonzero coefficients are invertible.
+    # equivalent decides c against itself by the identity, so the search runs on its own too.
     q0 = single_core(make_params(3, characteristic), 0)
     for base in (q0, apply_braid("s0 S1", q0)):
         for m in (6, 7, 8):
             c = reduce(direct_sum, [base] * m)
             assert [equivalent(c, c, seed) for seed in range(3)] == [YES] * 3
+            cm = minimize(c)
+            assert [_search_kernel(cm, cm, seed) for seed in range(3)] == [YES] * 3
 
 
 def test_equivalent_confirms_five_copies_over_f2_for_every_seed():
     c = reduce(direct_sum, [single_core(make_params(3, 2), 0)] * 5)
     assert [seed for seed in range(40) if equivalent(c, c, seed) != YES] == []
+    assert [seed for seed in range(40) if _search_kernel(c, c, seed) != YES] == []
 
 
 def test_equivalent_distinguishes_connected_from_split():
@@ -417,7 +423,8 @@ def test_equivalent_tries_no_candidate_on_cover_pairs(det_nonzero_calls):
     # The ladder member (s0 S1)^k Q0 against its specialization to a cover of
     # either core: the unit blocks of the degree-0 kernel cover too few rows
     # for any combination to be invertible, so no candidate is tested. The
-    # braid-relation pairs still find theirs.
+    # braid-relation pairs minimize to the same model, so the diagonal stage
+    # decides them before the search.
     q0 = single_core(make_params(3, 32003), 0)
     members = [apply_braid(" ".join(["s0 S1"] * k), q0) for k in (2, 3)]
     assert [len(x) for x in members] == [5, 13]
@@ -427,7 +434,19 @@ def test_equivalent_tries_no_candidate_on_cover_pairs(det_nonzero_calls):
     assert det_nonzero_calls == []
     for x in members:
         assert equivalent(apply_braid("s0 s1 s0", x), apply_braid("s1 s0 s1", x)) == YES
-    assert det_nonzero_calls
+    assert det_nonzero_calls == []
+
+
+@pytest.mark.parametrize("characteristic", [2, 32003, 0])
+def test_equivalent_decides_gauged_ladder_pairs_without_the_kernel(characteristic, homs, det_nonzero_calls):
+    # At len 610 the degree-0 kernel costs O(len^2); a diagonal isomorphism is read off delta.
+    c = apply_braid(" ".join(["s0 S1"] * 7), single_core(make_params(3, characteristic), 0))
+    assert len(c) == 610
+    d = gauge(c, random.Random(characteristic))
+    assert (d.delta != c.delta) == (characteristic != 2)  # F_2 has one unit
+    homs.clear()
+    assert equivalent(c, c) == equivalent(c, d) == equivalent(d, c) == YES
+    assert homs == [] and det_nonzero_calls == []
 
 
 def test_cone_euler_characteristic_additivity(P):

@@ -21,7 +21,7 @@ from plumbtwist.twists import apply_braid
 
 import reference
 from conftest import random_word
-from test_properties import _gauge
+from reference import gauge
 
 FIELDS = (2, 5, 32003, 0)
 
@@ -79,7 +79,7 @@ def test_minimize_matches_the_reference_on_cones_of_gauged_identities(characteri
     for n in (3, 4, 5):
         params = make_params(n, characteristic)
         for _ in range(3):
-            c = _gauge(apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2))), rng)
+            c = gauge(apply_braid(random_word(rng, 6), single_core(params, rng.randrange(2))), rng)
             scale = field.element(rng.randrange(1, characteristic) if characteristic else rng.randint(1, 9))
             units = {(i, i): {"e0" if s.vertex == 0 else "e1": scale} for i, s in enumerate(c.summands)}
             x = cone(Morphism(c, c, 0, units))

@@ -34,9 +34,8 @@ from plumbtwist.normalizer import (
 from plumbtwist.twists import LETTERS, BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word, refuse_oracle
-from reference import first_step_holds, relabel, shift_normalized
+from reference import first_step_holds, gauge, relabel, shift_normalized
 from test_normalizer_golden import CASES, inadmissible_corpus
-from test_properties import _gauge
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +333,7 @@ def test_normalize_the_long_ladder_member(v):
     rng = random.Random(1597 + v)
     c = apply_braid(" ".join([f"s{v} S{1 - v}"] * 8), single_core(params, v))
     assert len(c) == 1597
-    x = shift(_gauge(c, rng), rng.randint(-4, 4))
+    x = shift(gauge(c, rng), rng.randint(-4, 4))
     cert = normalize(x)
     final = apply_braid(cert.word, x)
     assert cert.multiplicity == len(final) == 1 and not final.delta
@@ -401,7 +400,7 @@ def test_normalize_certifies_gauged_braid_images_and_their_copies(word, vertex, 
     # Every such complex lies in a core's orbit, and a certificate is accepted only on the
     # nose: a step the reduction cannot find shows here as a refusal.
     image = shift(apply_braid(word, single_core(make_params(n, characteristic), vertex)), s)
-    c = _gauge(copies(image, m), rng)
+    c = gauge(copies(image, m), rng)
     assert_replays_on_the_nose(normalize(c), c, m)
 
 

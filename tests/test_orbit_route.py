@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plumbtwist import complexes, twists
+from plumbtwist import twists
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
     ORBIT_SELF_HOM_LEN,
@@ -34,8 +34,8 @@ from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.normalizer import normalize, orbit_certificate
 from plumbtwist.twists import apply_braid
 
+from reference import gauge
 from slopes import slopes
-from test_properties import _gauge
 
 FIELDS = (2, 5, 32003, 0)
 
@@ -56,21 +56,6 @@ def direct(c, d):
     return hom_complex(c, d).cohomology_ranks()
 
 
-@pytest.fixture
-def homs(monkeypatch):
-    """Every (source, target) pair a HomComplex is built for, recorded as it is built."""
-    built = []
-    real = complexes.HomComplex
-
-    class Recorded(real):
-        def __init__(self, c, d, degrees=None):
-            built.append((c, d))
-            super().__init__(c, d, degrees)
-
-    monkeypatch.setattr(complexes, "HomComplex", Recorded)
-    return built
-
-
 def builds_self_hom(homs, c):
     return any(a is c for a, _ in homs)
 
@@ -83,7 +68,7 @@ def test_normalize_twists_each_letter_once(monkeypatch, k, m):
     # The gauged, shifted ladder members of lengths 13 and 34, and twice the first.
     rng = random.Random(23 + k + m)
     params = make_params(3, 32003)
-    x = shift(_gauge(apply_braid(ladder(0, k), single_core(params, 0)), rng), rng.randint(-4, 4))
+    x = shift(gauge(apply_braid(ladder(0, k), single_core(params, 0)), rng), rng.randint(-4, 4))
     c = copies(x, m)
     calls = []
     real = twists.twist
@@ -150,7 +135,7 @@ words = st.builds(lambda head, v, k, tail: " ".join(head + [ladder(v, k)] + tail
 
 def _image(word, vertex, n, characteristic, rng):
     params = make_params(n, characteristic)
-    return shift(_gauge(apply_braid(word, single_core(params, vertex)), rng), rng.randint(-4, 4))
+    return shift(gauge(apply_braid(word, single_core(params, vertex)), rng), rng.randint(-4, 4))
 
 
 @settings(max_examples=40, deadline=None)

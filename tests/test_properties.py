@@ -9,7 +9,10 @@ Q. A hom complex's differential must square to zero, checked by multiplying
 its columns out here. One built for the degree-0 window must have the full
 hom's kernel out of degree 0, its cocycle representatives must be closed,
 as many as the cohomology ranks and independent modulo the coboundaries,
-and the quasi-isomorphism oracle must be symmetric.
+and the quasi-isomorphism oracle must be symmetric. Its diagonal stage
+must find a witness for every gauged copy, every witness must be a closed
+map whose cone minimizes to zero, and on every pair the stage declines the
+oracle must agree with the search-only reference.
 The alternating braid words must follow their Fibonacci closed forms from
 any shifted core, with the complex re-gauged before every twist. Over Q a
 whole value is an int; the same complex with its ints boxed as whole-valued
@@ -24,10 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from plumbtwist.category import make_params
 from plumbtwist.complexes import (
+    INCONCLUSIVE,
     NO,
     YES,
     Morphism,
+    Summand,
     TwistedComplex,
+    _diagonal_witness,
     cone,
     direct_sum,
     equivalent,
@@ -43,7 +49,9 @@ from plumbtwist.normalizer import normalize
 from plumbtwist.serialize import DocumentError, ValidationRejection, complex_to_dict, parse_complex, serialize_complex
 from plumbtwist.twists import LETTERS, BraidLetter, apply_braid, apply_letter
 
+import reference
 from conftest import random_word
+from reference import gauge
 
 CHARACTERISTICS = (2, 32003, 0)
 
@@ -220,22 +228,83 @@ def test_equivalent_is_symmetric(data, word, vertex, characteristic):
         assert equivalent(y, x) == verdict != wrong
 
 
+# n, characteristic and betti0 of the diagonal stage's inputs: every field, and a non-spherical Q0.
+WITNESS_PARAMS = ((3, 2, None), (3, 5, None), (3, 32003, None), (3, 0, None), (3, 32003, (1, 1, 1, 1)))
+
+
+def _witness_checked(c, d):
+    """The diagonal stage's witness on the minimal models of c and d, checked as an isomorphism."""
+    f = _diagonal_witness(minimize(c), minimize(d))
+    if f is not None:
+        assert not f.differential().comps
+        assert minimize(cone(f)).is_empty
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), words, st.integers(0, 1), st.sampled_from(WITNESS_PARAMS), st.randoms(use_true_random=False))
+def test_diagonal_witnesses_are_isomorphisms_and_declines_match_the_search(data, word, vertex, spec, rng):
+    # c is a braid image x, or x + y with y = x or another image. d is gauged: another image,
+    # x from a longer word for the same braid, y + x, c with its summands permuted, a shift
+    # of c, or a cover of c.
+    params = make_params(*spec)
+    core = single_core(params, vertex)
+    x = apply_braid(word, core)
+    y = x if data.draw(st.booleans()) else data.draw(braid_images(params))
+    summed = data.draw(st.booleans())
+    c = direct_sum(x, y) if summed else x
+    assert _witness_checked(c, gauge(c, rng)) is not None
+    kind = data.draw(st.sampled_from(("image", "word", "swap", "permute", "shift", "cover")))
+    if kind == "image":
+        d = data.draw(braid_images(params))
+    elif kind == "word":
+        letter = data.draw(st.sampled_from(LETTERS))
+        at = data.draw(st.integers(0, len(word)))
+        d = apply_braid(word[:at] + (letter, letter.inverse()) + word[at:], core)
+        d = direct_sum(d, y) if summed else d
+    elif kind == "swap":
+        d = direct_sum(y, x)
+    elif kind == "permute":
+        order = data.draw(st.permutations(range(len(c))))
+        where = {old: new for new, old in enumerate(order)}
+        d = TwistedComplex(params, [c.summands[k] for k in order], {(where[i], where[j]): combo
+                                                                    for (i, j), combo in c.delta.items()})
+    elif kind == "shift":
+        d = shift(c, data.draw(st.integers(-1, 1)))
+    else:
+        d = specialize(c, CoverSpec(data.draw(st.integers(0, 1))))
+    d = gauge(d, rng)
+    if _witness_checked(c, d) is not None:
+        assert equivalent(c, d) == YES
+    else:
+        assert equivalent(c, d) == reference.equivalent(c, d)
+
+
+def test_diagonal_stage_declines_what_no_rescaling_maps():
+    # A cover pair (its slots differ), a reordered sum whose two Q0[-2] summands tie in
+    # minimize's order, and an entry of two names scaled by a different ratio per name.
+    q0 = single_core(make_params(3), 0)
+    x = apply_braid("s0 S1 s0 S1", q0)
+    spec = specialize(x, CoverSpec(0))
+    y = shift(q0, -2)
+    pairs = [(x, spec, INCONCLUSIVE), (direct_sum(x, y), direct_sum(y, x), YES)]
+    params = make_params(3, 32003, (1, 2, 2, 1))
+    summands = [Summand(0, 0), Summand(0, 0)]
+    combo = TwistedComplex(params, summands, {(0, 1): {"x1.1": 1, "x1.2": 1}})
+    pairs.append((combo, TwistedComplex(params, summands, {(0, 1): {"x1.1": 1, "x1.2": 2}}), INCONCLUSIVE))
+    for c, d, verdict in pairs:
+        assert minimize(c).summand_multiset() == minimize(d).summand_multiset()
+        assert _witness_checked(c, d) is None
+        assert equivalent(c, d) == reference.equivalent(c, d) == verdict
+    # The same two names scaled by one ratio are a rescaling of the second summand.
+    assert _witness_checked(combo, TwistedComplex(params, summands, {(0, 1): {"x1.1": 3, "x1.2": 3}})) is not None
+
+
 def _fibonacci(i):
     a, b = 0, 1
     for _ in range(i):
         a, b = b, a + b
     return a
-
-
-def _gauge(c, rng):
-    """An isomorphic copy of c: summand i rescaled by a unit u_i, so entry (i, j) becomes u_j x / u_i."""
-    field = c.params.field
-    p = field.characteristic
-    units = [rng.randrange(1, p) if p else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-             for _ in c.summands]
-    delta = {(i, j): {name: field.mul(field.mul(units[j], x), field.inv(units[i])) for name, x in combo.items()}
-             for (i, j), combo in c.delta.items()}
-    return TwistedComplex(c.params, c.summands, delta)
 
 
 @settings(max_examples=50, deadline=None)
@@ -249,7 +318,7 @@ def test_alternating_words_follow_fibonacci_under_gauges(v, s, k, twist_first, c
     pair = (BraidLetter(v, 1), BraidLetter(1 - v, -1))
     c = shift(cores[0], s)
     for letter in (pair if twist_first else pair[::-1]) * k:
-        c = apply_letter(letter, _gauge(c, rng))
+        c = apply_letter(letter, gauge(c, rng))
     got = (len(c), sum(hf_ranks(cores[0], c).values()), sum(hf_ranks(cores[1], c).values()))
     f = _fibonacci
     assert got == ((f(2 * k + 1), f(2 * k), f(2 * k - 1)) if twist_first else (f(2 * k + 2), f(2 * k), f(2 * k + 1)))
@@ -271,7 +340,7 @@ def test_whole_fractions_and_ints_give_the_same_answers():
     for _ in range(40):
         c = apply_braid(random_word(rng, 5, 2), cores[rng.randrange(2)])
         if rng.random() < 0.3:
-            c = _gauge(c, rng)  # ints and non-whole Fractions mixed
+            c = gauge(c, rng)  # ints and non-whole Fractions mixed
         boxed = _boxed(c)
         values = [x for combo in boxed.delta.values() for x in combo.values()]
         boxed_some += any(type(x) is Fraction and x.denominator == 1 for x in values)

@@ -33,6 +33,10 @@ def test_span_recorder_hooks_fire():
         assert complexes.total_rank(complexes.hf_ranks(x, x)) > 0
         assert twists.check_braid_relation(q0) == complexes.YES
         assert normalizer.normalize(x).multiplicity == 1
+        # The diagonal stage decides the braid relation; this reordered sum minimizes
+        # to different slots, so the oracle's candidate search confirms it.
+        y = complexes.shift(q0, -2)
+        assert complexes.equivalent(complexes.direct_sum(x, y), complexes.direct_sum(y, x)) == complexes.YES
     finally:
         recorder.uninstall()
     counts = recorder.counts
@@ -40,14 +44,15 @@ def test_span_recorder_hooks_fire():
     # matrix_build_cells and hom_nonzeros are read off the dense Matrix view.
     assert counts["linalg.matrix_build_cells"] > 0
     # Exact on this fixed input, so a change to the hom layout or the twist fails here too.
-    # normalize(x) twists each of its word's 3 letters once, in the reduction itself, and
-    # hf_ranks(x, x) is below ORBIT_SELF_HOM_LEN, so it builds the direct hom.
-    assert counts["complexes.hom_gens"] == 77
-    assert counts["complexes.hom_nonzeros"] == 40
+    # normalize(x) twists each of its word's 3 letters once, in the reduction itself,
+    # hf_ranks(x, x) is below ORBIT_SELF_HOM_LEN, so it builds the direct hom, and the
+    # reordered sum's first candidate is an isomorphism.
+    assert counts["complexes.hom_gens"] == 93
+    assert counts["complexes.hom_nonzeros"] == 53
     assert counts["twists.twist_calls"] == 13
-    assert counts["complexes.minimize_cancelled"] == 20
-    assert counts["complexes.oracle_candidates"] > 0
-    assert counts["complexes.oracle_cones"] > 0
+    assert counts["complexes.minimize_cancelled"] == 30
+    assert counts["complexes.oracle_candidates"] == 1
+    assert counts["complexes.oracle_cones"] == 1
     # Validation, cones and minimize still compose; hom columns read the product memo instead.
     assert counts["category.compose_calls"] > 0
     assert counts["complexes.minimize_calls"] > 0
