@@ -19,7 +19,8 @@ twisted complex is plain matrix squaring.
 
 from __future__ import annotations
 
-from .linalg import MAX_CHARACTERISTIC, Field, FieldError, Immutable, axpy, is_int  # MAX_CHARACTERISTIC: re-exported
+# MAX_CHARACTERISTIC is re-exported.
+from .linalg import DEFAULT_PRIME, MAX_CHARACTERISTIC, Field, FieldError, Immutable, axpy, is_int
 
 
 class ParameterError(ValueError):
@@ -137,7 +138,7 @@ def validate_params(n: int, characteristic: int, betti0=None) -> list[str]:
     return _problems(n, None, betti0)
 
 
-def make_params(n: int, characteristic: int = 32003, betti0=None) -> CategoryParams:
+def make_params(n: int, characteristic: int = DEFAULT_PRIME, betti0=None) -> CategoryParams:
     try:
         field = Field(characteristic)
     except FieldError as exc:
@@ -148,8 +149,7 @@ def make_params(n: int, characteristic: int = 32003, betti0=None) -> CategoryPar
 class BasisProducts(dict):
     """
     The memo of basis products: (g, f) -> the name of g∘f (f first), or None
-    when it vanishes, filled from compose_names on first lookup. Every
-    composite has coefficient 1, so the name is all compose_names adds. A
+    when it vanishes, filled from compose_names on first lookup. A
     non-composable pair raises ValueError on every lookup and is never stored.
     """
 
@@ -160,8 +160,7 @@ class BasisProducts(dict):
         self.compose_names = compose_names
 
     def __missing__(self, pair: tuple[str, str]) -> str | None:
-        hit = self.compose_names(*pair)
-        name = self[pair] = None if hit is None else hit[0]
+        name = self[pair] = self.compose_names(*pair)
         return name
 
 
@@ -196,11 +195,9 @@ class Category:
 
     # -- composition -------------------------------------------------------------
 
-    def _build_table(self, betti) -> dict[tuple[str, str], tuple[str, int]]:
+    def _build_table(self, betti) -> dict[tuple[str, str], str]:
         n = self.params.n
-        table: dict[tuple[str, str], tuple[str, int]] = {}
-        table[("q", "p")] = ("f0", 1)
-        table[("p", "q")] = ("f1", 1)
+        table = {("q", "p"): "f0", ("p", "q"): "f1"}
         # Intermediate classes pair perfectly into the top class of Q0.
         for d in range(1, n):
             count = betti[d]
@@ -208,21 +205,22 @@ class Category:
             for j in range(count):
                 a = _intermediate_name(n - d, j, dual_count)
                 b = _intermediate_name(d, j, count)
-                table[(a, b)] = ("f0", 1)
+                table[(a, b)] = "f0"
         return table
 
-    def compose_names(self, g: str, f: str) -> tuple[str, int] | None:
+    def compose_names(self, g: str, f: str) -> str | None:
         """
-        The composite g∘f of basis morphisms (f first), as (name, coefficient),
-        or None when it vanishes. Raises on non-composable pairs.
+        The name of the composite g∘f of basis morphisms (f first), or None
+        when it vanishes; every nonzero composite has coefficient 1. Raises
+        ValueError on a non-composable pair and KeyError on an unknown name.
         """
         gm, fm = self.by_name[g], self.by_name[f]
         if fm.target != gm.source:
             raise ValueError(f"cannot compose {g} after {f}: target {fm.target} != source {gm.source}")
         if fm.degree == 0:
-            return (g, 1)
+            return g
         if gm.degree == 0:
-            return (f, 1)
+            return f
         if fm.degree + gm.degree > self.params.n:
             return None
         return self._table.get((g, f))

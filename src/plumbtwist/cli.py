@@ -31,6 +31,7 @@ from .covers import (
     specialize,
     truncation_feasibility,
 )
+from .linalg import DEFAULT_PRIME
 from .normalizer import InadmissibleInput, NormalizeError, normalize
 from .serialize import (
     DocumentError,
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plumbtwist",
         description="exact twisted-complex calculus over a two-core plumbing category")
     parser.add_argument("--n", type=int, default=3, help="dimension of the cores (default 3)")
-    parser.add_argument("--char", type=int, default=32003, help="field characteristic, 0 for the rationals")
+    parser.add_argument("--char", type=int, default=DEFAULT_PRIME, help="field characteristic, 0 for the rationals")
     parser.add_argument("--betti0", type=str, default=None, help="comma-separated Betti vector for Q0")
     parser.add_argument("--seed", type=int, default=0, help="seed for the quasi-isomorphism search; only equiv reads it")
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")

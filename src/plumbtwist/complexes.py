@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .category import Category, CategoryParams, category_for, is_vertex
 from .linalg import (Immutable, Matrix, Vector, axpy, graded_ranks, invertible_combinations, is_int,
-                     kernel_and_image_tops, kernel_basis)
+                     kernel_and_image_tops)
 
 Combo = dict  # {basis name: field element}, zero coefficients never stored
 
@@ -69,7 +69,7 @@ class TwistedComplex:
     construction may leave a whole value boxed, equal to its int), and is
     a dict owned by this complex alone. The constructor establishes that for
     outside input (the parser, user code) by coercing every value into the
-    field. The library's own constructions (shift, restrict, direct_sum,
+    field. The library's own constructions (shift, restrictions, direct_sum,
     cone, minimize, the inverse twist, specialize) build a clean delta
     themselves and hand it over through _assemble, which checks nothing.
     """
@@ -307,13 +307,12 @@ def shift(c: TwistedComplex, k: int) -> TwistedComplex:
     return _assemble(c.params, [Summand(s.vertex, s.position - k) for s in c.summands], delta)
 
 
-def restrict(c: TwistedComplex, members: Sequence[int]) -> TwistedComplex:
-    """The summands at members, in that order, with the entries of delta among them re-indexed and copied."""
-    return restrictions(c, [members])[0]
-
-
 def restrictions(c: TwistedComplex, groups: Sequence[Sequence[int]]) -> list[TwistedComplex]:
-    """restrict(c, members) for each of the disjoint groups, splitting delta among them in one pass."""
+    """
+    For each of the disjoint groups of summand indices, the summands at
+    those indices, in that order, with the entries of delta among them
+    re-indexed and copied; delta is split among the groups in one pass.
+    """
     where: dict[int, tuple[int, int]] = {}  # summand -> (its group, its index there)
     for piece, members in enumerate(groups):
         for new, old in enumerate(members):
@@ -374,10 +373,9 @@ class HomComplex:
     product looked up in the category's memo (Category.products); an entry
     of delta of the wrong degree raises ComplexError. Ranks come from
     eliminating those columns with linalg.Echelon. Kernels come from
-    eliminating their transpose (linalg.kernel_basis), and the one
-    elimination per degree behind cocycle_representatives gives both the
-    kernel of D out of degree g and the coboundary tops in degree g + 1
-    (linalg.kernel_and_image_tops). All are sparse
+    eliminating their transpose (linalg.kernel_and_image_tops); that one
+    elimination per degree also gives the coboundary tops in degree g + 1
+    that cocycle_representatives reads. All are sparse
     vectors over the generators of one degree; morphism turns such a vector
     into a Morphism, the one place that reads the generator layout.
     differentials is a dense Matrix view that nothing in the library reads:
@@ -479,7 +477,7 @@ class HomComplex:
         """The canonical kernel basis of D out of degree g, as sparse vectors."""
         if self.window is not None and g not in self.window:
             raise ValueError(f"degree {g} is outside this hom complex's window {sorted(self.window)}")
-        return kernel_basis(self.params.field, self.columns.get(g, []))
+        return kernel_and_image_tops(self.params.field, self.columns.get(g, []))[0]
 
     def cocycle_representatives(self) -> dict[int, list[Vector]]:
         """
@@ -740,15 +738,13 @@ def _diagonal_witness(c: TwistedComplex, d: TwistedComplex) -> Morphism | None:
 
 def _search_kernel(cm: TwistedComplex, dm: TwistedComplex, seed: int) -> str:
     """
-    yes or inconclusive for minimal cm and dm with equal summand multisets:
-    sample the closed degree-0 maps cm -> dm whose unit part could be
-    invertible, and answer yes at the first whose cone minimizes to empty.
+    yes or inconclusive for minimal, nonempty cm and dm with equal summand
+    multisets: sample the closed degree-0 maps cm -> dm whose unit part
+    could be invertible (none when the kernel is empty), and answer yes at
+    the first whose cone minimizes to empty.
     """
     hom = hom_complex(cm, dm, degrees={0})
     kernel = hom.kernel(0)
-    if not kernel:
-        return INCONCLUSIVE
-
     field = cm.params.field
     eblocks = []  # the unit part of each kernel vector, as a sparse {(row, col): value} block
     for vec in kernel:

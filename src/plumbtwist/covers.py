@@ -29,7 +29,6 @@ from .complexes import (
     hf_ranks,
     minimize,
     require_valid,
-    restrict,
     restrictions,
     single_core,
     total_rank,
@@ -242,7 +241,7 @@ def boundary_rank_check(c: TwistedComplex) -> BoundaryRankReport:
     zeros = [k for k, s in enumerate(c.summands) if s.vertex == 0]
     if not zeros:
         raise CoverError("no vertex-0 summands to check")
-    part = restrict(c, zeros)
+    part = restrictions(c, [zeros])[0]
     bad = validate(part)
     if bad:
         raise CoverError("the vertex-0 part is not itself a twisted complex: " + bad[0].message)

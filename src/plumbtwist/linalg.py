@@ -17,7 +17,7 @@ value one. kernel_and_image_tops eliminates the transposed columns once,
 rows inserted from the last index down: the reduced echelon form gives the
 kernel, and the rows that were independent of the rows below them are the
 largest indices of the image vectors (the cocycle route of hom complexes
-reads both; kernel_basis only the kernel). graded_ranks turns the sparse
+reads both; HomComplex.kernel only the kernel). graded_ranks turns the sparse
 columns of a graded differential into cohomology ranks (hom complexes, the
 cotangent-fibre pairing), and invertible_combinations samples an affine
 family of sparse square blocks for invertible members (the quasi-isomorphism
@@ -286,11 +286,6 @@ def kernel_and_image_tops(field: Field, columns: Sequence[Vector]) -> tuple[list
             if f != q:
                 basis[f][q] = field.neg(x)
     return list(basis.values()), tops
-
-
-def kernel_basis(field: Field, columns: Sequence[Vector]) -> list[Vector]:
-    """The canonical kernel basis of the matrix with these sparse columns (see kernel_and_image_tops)."""
-    return kernel_and_image_tops(field, columns)[0]
 
 
 def graded_ranks(field: Field, dims: dict[int, int], columns: dict[int, Sequence[Vector]]) -> dict[int, int]:

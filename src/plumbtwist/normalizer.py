@@ -31,11 +31,12 @@ as None.
 normalize does not test admissibility up front. Twists are autoequivalences,
 so a verified certificate c = T_w^-1(Q_v[s]^m) carries the admissible
 endomorphism algebra of Q_v^m (degrees 0 and n) over to c: accepting a
-certificate already proves c admissible, and hf(c, c), quadratic in the
-length of c, is computed only when the reduction or the verification fails.
-It then tells an inadmissible input (InadmissibleInput) from a genuine
-failure on an admissible one (the original error). A step returns only
-when it lowers cx, so the attempt takes at most cx steps on any input.
+certificate already proves c admissible, and the self-hom of minimize(c),
+quadratic in its length, is computed only when the reduction or the
+verification fails. Minimizing is a homotopy equivalence, so its ranks are
+those of hf(c, c); they tell an inadmissible input (InadmissibleInput) from
+a genuine failure on an admissible one (the original error). A step returns
+only when it lowers cx, so the attempt takes at most cx steps on any input.
 """
 
 from __future__ import annotations
@@ -135,21 +136,21 @@ def admissible(c: TwistedComplex) -> AdmissibleReport:
 
 # -- one reduction step -------------------------------------------------------------------
 
-class ReductionStep(NamedTuple):
+class TraceEntry(NamedTuple):
     letters: BraidWord
     case: str
     cx_before: int
     cx_after: int
-    result: TwistedComplex
 
 
-def reduction_step(c: TwistedComplex) -> ReductionStep:
+def reduction_step(c: TwistedComplex) -> tuple[TraceEntry, TwistedComplex]:
     """
     One complexity-lowering twist on a minimized, nonempty, admissible complex
-    with cx > 0. Every decision reads complexity(c), whose positions count
-    from the lowest occupied one, so a shift of c gets the same decision and
-    no copy of c is made. The chosen letters are applied to c itself, so
-    result is in c's frame: it is apply_braid(letters, c). Raises
+    with cx > 0, as its trace entry and its result. Every decision reads
+    complexity(c), whose positions count from the lowest occupied one, so a
+    shift of c gets the same decision and no copy of c is made. The chosen
+    letters are applied to c itself, so the result is in c's frame: it is
+    apply_braid(entry.letters, c). Raises
     NormalizerDeadEnd when the case dichotomy fails or neither base-case
     letter lowers cx, ComplexityNotReduced when the selected letter does not
     work, and PreconditionViolated for case B outside the base case over a
@@ -194,7 +195,7 @@ def reduction_step(c: TwistedComplex) -> ReductionStep:
         if after >= rep.cx:
             raise ComplexityNotReduced(
                 f"case {tag} letter {letter} raised cx {rep.cx} -> {after}; input was presumably inadmissible")
-        return ReductionStep((letter,), tag, rep.cx, after, result)
+        return TraceEntry((letter,), tag, rep.cx, after), result
 
     # Base case: the complex is too short for any top-class arrow. Take the
     # first case letter that lowers cx.
@@ -203,18 +204,11 @@ def reduction_step(c: TwistedComplex) -> ReductionStep:
         if not result.is_empty:
             after = _spread(result)
             if after < rep.cx:
-                return ReductionStep((letter,), f"base-{tag}", rep.cx, after, result)
+                return TraceEntry((letter,), f"base-{tag}", rep.cx, after), result
     raise NormalizerDeadEnd(f"neither case letter lowers cx from {rep.cx} in the base case")
 
 
 # -- full normalization --------------------------------------------------------------------
-
-
-class TraceEntry(NamedTuple):
-    letters: BraidWord
-    case: str
-    cx_before: int
-    cx_after: int
 
 
 class Certificate(NamedTuple):
@@ -236,15 +230,16 @@ def normalize(c: TwistedComplex, structural_checks: bool = True, seed: int = 0) 
     the input, and it landed on those copies on the nose. An input that
     minimizes to the empty complex lies in no core's orbit and raises
     PreconditionViolated at once. Admissibility is computed only when the
-    reduction fails: it then decides between InadmissibleInput and the
-    reduction's own error. structural_checks and seed are ignored; they are
-    kept for callers that still pass them by position.
+    reduction fails, on minimize(c), which the reduction already started
+    from: it then decides between InadmissibleInput and the reduction's own
+    error. structural_checks and seed are ignored; they are kept for callers
+    that still pass them by position.
     """
     start = _start(c)
     try:
         return _certify(start)
     except NormalizeError as exc:
-        adm = admissible(c)
+        adm = admissible(start)
         if not adm.ok:
             raise InadmissibleInput(
                 "endomorphisms in negative degrees " + ", ".join(str(g) for g, _ in adm.negative_degrees)) from exc
@@ -290,9 +285,9 @@ def _certify(start: TwistedComplex) -> Certificate:
     trace: list[TraceEntry] = []
     current, cx = start, _spread(start)
     while cx > 0:
-        step = reduction_step(current)
-        trace.append(TraceEntry(step.letters, step.case, step.cx_before, step.cx_after))
-        current, cx = step.result, step.cx_after
+        entry, current = reduction_step(current)
+        trace.append(entry)
+        cx = entry.cx_after
 
     word = tuple(letter for entry in trace for letter in entry.letters)
     # One (vertex, position) class and no differential is Q_v[s]^m itself, so

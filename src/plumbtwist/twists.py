@@ -32,7 +32,7 @@ from .complexes import (
     require_valid,
     single_core,
 )
-from .linalg import is_int, make_checked
+from .linalg import DEFAULT_PRIME, is_int, make_checked
 
 
 class _BraidLetter(NamedTuple):
@@ -170,7 +170,7 @@ def braid_images(c: TwistedComplex, max_length: int):
     return (pair for length in range(1, max_length + 1) for pair in extend((), start, length))
 
 
-def core_orbit_witness(n: int, characteristic: int = 32003, max_length: int = 4) -> tuple[BraidWord, int]:
+def core_orbit_witness(n: int, characteristic: int = DEFAULT_PRIME, max_length: int = 4) -> tuple[BraidWord, int]:
     """
     A braid word w and shift s with apply_braid(w, Q0) = Q1[s] on the nose,
     the first of braid_images(Q0, max_length) to land there (shortest first).

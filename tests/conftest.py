@@ -5,7 +5,7 @@ import pytest
 from plumbtwist import complexes
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
-from plumbtwist.linalg import Matrix, echelon_of, kernel_basis
+from plumbtwist.linalg import Matrix, echelon_of, kernel_and_image_tops
 from plumbtwist.twists import LETTERS, apply_braid
 
 
@@ -52,8 +52,8 @@ def columns_of(entries, ncols):
 
 
 def kernel_of(field, entries, ncols):
-    """The canonical kernel basis of a dense matrix, from linalg.kernel_basis on its columns."""
-    return [dense(field, vec, ncols) for vec in kernel_basis(field, columns_of(entries, ncols))]
+    """The canonical kernel basis of a dense matrix, from linalg.kernel_and_image_tops on its columns."""
+    return [dense(field, vec, ncols) for vec in kernel_and_image_tops(field, columns_of(entries, ncols))[0]]
 
 
 def solve_with(field, entries, ncols, b):
@@ -62,7 +62,7 @@ def solve_with(field, entries, ncols, b):
     the kernel vector of [M | b] whose free column is b, negated. b has one
     exactly when it is not a pivot column, and it is then the last vector.
     """
-    basis = kernel_basis(field, columns_of(entries, ncols) + [{r: v for r, v in enumerate(b) if v}])
+    basis = kernel_and_image_tops(field, columns_of(entries, ncols) + [{r: v for r, v in enumerate(b) if v}])[0]
     if not basis or ncols not in basis[-1]:
         return None
     return dense(field, {k: field.neg(v) for k, v in basis[-1].items() if k != ncols}, ncols)

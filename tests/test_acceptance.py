@@ -242,7 +242,7 @@ def _regular_representation(cat):
                 continue
             hit = cat.compose_names(x, y)
             if hit is not None:
-                rows[index[hit[0]]][index[y]] = field.element(hit[1])
+                rows[index[hit]][index[y]] = field.one
         mats[x] = rows
     return names, index, mats
 

@@ -45,18 +45,18 @@ def test_units_are_strict(cat3):
         m = cat3.by_name[name]
         post_unit = f"e{m.target}"
         pre_unit = f"e{m.source}"
-        assert cat3.compose_names(post_unit, name) == (name, 1)
-        assert cat3.compose_names(name, pre_unit) == (name, 1)
+        assert cat3.compose_names(post_unit, name) == name
+        assert cat3.compose_names(name, pre_unit) == name
 
 
 def test_duality_pairings(cat3):
-    assert cat3.compose_names("q", "p") == ("f0", 1)
-    assert cat3.compose_names("p", "q") == ("f1", 1)
+    assert cat3.compose_names("q", "p") == "f0"
+    assert cat3.compose_names("p", "q") == "f1"
     assert cat3.compose_names("f0", "f0") is None  # degree 2n > n
 
 
 def test_interior_pairing_into_top(cat4_cp2):
-    assert cat4_cp2.compose_names("x2", "x2") == ("f0", 1)
+    assert cat4_cp2.compose_names("x2", "x2") == "f0"
     assert cat4_cp2.compose_names("p", "x2") is None
     assert cat4_cp2.compose_names("x2", "q") is None
 
@@ -65,7 +65,7 @@ def test_interior_products_below_top_vanish():
     cat = category_for(make_params(6, 32003, (1, 0, 1, 0, 1, 0, 1)))
     # x2 . x2 lands in degree 4 < 6, hence vanishes; x4 . x2 pairs into the top.
     assert cat.compose_names("x2", "x2") is None
-    assert cat.compose_names("x4", "x2") == ("f0", 1)
+    assert cat.compose_names("x4", "x2") == "f0"
 
 
 @pytest.mark.parametrize("n, betti0", [(3, None), (4, (1, 0, 1, 0, 1)), (4, (1, 0, 2, 0, 1))],
@@ -85,10 +85,8 @@ def test_products_memo_matches_compose_names(n, betti0):
                     assert str(raised.value) == str(exc)
                 assert (g, f) not in cat.products
                 continue
-            assert hit is None or hit[1] == 1
-            want = None if hit is None else hit[0]
-            assert cat.products[g, f] == want and (g, f) in cat.products
-            assert cat.products[g, f] == want
+            assert cat.products[g, f] == hit and (g, f) in cat.products
+            assert cat.products[g, f] == hit
     assert len(cat.products) == sum(cat.by_name[g].source == cat.by_name[f].target for g in names for f in names)
 
 
@@ -141,7 +139,7 @@ def test_degree_additivity_and_range(cat4_cp2):
                 continue
             hit = cat.compose_names(g.name, f.name)
             if hit is not None:
-                assert cat.by_name[hit[0]].degree == f.degree + g.degree
+                assert cat.by_name[hit].degree == f.degree + g.degree
 
 
 def test_validate_params_accepts_and_rejects():

@@ -27,7 +27,6 @@ from plumbtwist.complexes import (
     direct_sum,
     hom_complex,
     minimize,
-    restrict,
     restrictions,
     shift,
     single_core,
@@ -93,7 +92,7 @@ def test_library_constructions_build_clean_unshared_deltas(characteristic):
         x = c.params.field.element(5)
         built = [
             (shift(c, rng.randint(-3, 3)), (c,)),
-            (restrict(c, members), (c,)),
+            (restrictions(c, [members])[0], (c,)),
             *[(piece, (c,)) for piece in pieces],
             (direct_sum(c, c), (c,)),
             (cone(identity(c, x)), (c,)),

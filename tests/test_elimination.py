@@ -2,10 +2,10 @@
 Differential tests of the sparse elimination core.
 
 Row ranks and column pivots from Echelon, Matrix.rref and det_nonzero,
-kernel_basis (also as a solver: the kernel of [M | b]), graded_ranks and
-covers.fibre_rank are compared with a naive dense Gauss-Jordan elimination
-written here, over F_2, F_5, F_32003
-and Q, on random sparse and dense matrices including 0-row and 0-column
+the kernel from kernel_and_image_tops (also as a solver: the kernel of
+[M | b]), graded_ranks and covers.fibre_rank are compared with a naive
+dense Gauss-Jordan elimination written here, over F_2, F_5, F_32003 and
+Q, on random sparse and dense matrices including 0-row and 0-column
 shapes, and on hom complexes and fibre pairings of braid-orbit complexes.
 The sparse hom-complex columns are compared with the differential of each
 generator computed by Morphism.differential. invertible_combinations is
@@ -31,7 +31,6 @@ from plumbtwist.linalg import (
     graded_ranks,
     invertible_combinations,
     kernel_and_image_tops,
-    kernel_basis,
 )
 from plumbtwist.twists import LETTERS, apply_braid
 
@@ -151,7 +150,7 @@ def test_column_pivots_and_kernel_basis_match_reference(case):
     assert independent == pivots
     assert len(ech) == len(pivots)
     dense = []
-    for vec in kernel_basis(field, columns):
+    for vec in kernel_and_image_tops(field, columns)[0]:
         row = [field.zero] * m.cols
         for k, v in vec.items():
             row[k] = v

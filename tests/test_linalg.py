@@ -219,8 +219,12 @@ def test_axpy_adds_no_key_whose_product_vanishes(field):
     assert heap == []
 
 
-def test_invertible_combinations_zero_family(field):
+def test_invertible_combinations_zero_family(field, monkeypatch):
     assert list(invertible_combinations(field, 2, [{}, {}])) == []
+    # An empty kernel gives the oracle no blocks: nothing is yielded, and no candidate is tested.
+    monkeypatch.setattr(Matrix, "det_nonzero", lambda self: pytest.fail("det_nonzero ran"))
+    for size in (1, 2, 3):
+        assert list(invertible_combinations(field, size, [])) == []
 
 
 def test_invertible_combinations_two_diagonal_family_match_enumeration():

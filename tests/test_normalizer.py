@@ -106,10 +106,10 @@ def test_complexity_matches_zigzag_oracle_on_shapes(P):
 def _step_in_frame(c, k):
     """reduction_step(c) with its result shifted by k, or the class and message of what it raises."""
     try:
-        step = reduction_step(c)
+        step, result = reduction_step(c)
     except NormalizeError as exc:
         return type(exc), str(exc)
-    result = shift(step.result, k)
+    result = shift(result, k)
     return step.letters, step.case, step.cx_before, step.cx_after, result.summands, result.delta
 
 
@@ -202,7 +202,7 @@ def test_reduction_step_dispatch_matches_profiles(P):
         rep = complexity(w)
         if rep.cx == 0:
             continue
-        step = reduction_step(w)
+        step, _ = reduction_step(w)
         tags.add(step.case)
         assert step.cx_after < step.cx_before
         u, v = dict(rep.u_profile), dict(rep.v_profile)
@@ -231,7 +231,7 @@ def test_base_case_two_term_complexes(P):
     # Both two-term shapes sit below the top-class threshold and reduce in
     # one letter through the base-case variant.
     down = apply_braid("s1", single_core(P, 0))
-    step = reduction_step(*(shift_normalized(down)[:1]))
+    step, _ = reduction_step(*(shift_normalized(down)[:1]))
     assert step.case.startswith("base-") or step.case in ("A1", "B1", "B2", "A2")
     assert step.cx_after < step.cx_before
 
@@ -311,6 +311,24 @@ def test_normalize_rejects_every_inadmissible_input_by_its_negative_degrees(char
         with pytest.raises(InadmissibleInput) as caught:
             normalize(x)
         assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("characteristic", (2, 32003, 0))
+def test_failed_normalize_tests_admissibility_on_the_minimal_model(characteristic, homs):
+    # A cancelling pair added to an inadmissible x changes neither the message nor the
+    # self-hom the failure path builds: that hom is of minimize(c), not of c.
+    for k, x in zip(range(4), inadmissible_corpus(3, characteristic)):
+        with pytest.raises(InadmissibleInput) as expected:
+            normalize(x)
+        core = single_core(x.params, k % 2)
+        c = direct_sum(x, cone(Morphism(core, core, 0, {(0, 0): {f"e{k % 2}": 1}})))
+        homs.clear()
+        with pytest.raises(InadmissibleInput) as caught:
+            normalize(c)
+        assert str(caught.value) == str(expected.value)
+        self_homs = [(a, b) for a, b in homs if a is b]
+        assert len(minimize(c)) < len(c)
+        assert [(len(a), len(b)) for a, b in self_homs] == [(len(minimize(c)),) * 2]
 
 
 @pytest.mark.parametrize("k", (6, 7))
@@ -422,12 +440,12 @@ def test_replay_off_one_shifted_core_is_refused(monkeypatch, P, extra):
     real = normalizer.reduction_step
 
     def missed(c):
-        step = real(c)
-        if step.cx_after:
-            return step
+        entry, result = real(c)
+        if entry.cx_after:
+            return entry, result
         if extra == "nothing":
-            return step._replace(result=TwistedComplex(c.params, []))
-        return step._replace(result=direct_sum(step.result, shift(single_core(c.params, 0), 1)))
+            return entry, TwistedComplex(c.params, [])
+        return entry, direct_sum(result, shift(single_core(c.params, 0), 1))
 
     monkeypatch.setattr(normalizer, "reduction_step", missed)
     with pytest.raises(CertificateError):

@@ -133,7 +133,7 @@ def inadmissible_corpus(n: int, characteristic: int, count: int = 60):
 
 def step_outcome(x) -> str:
     try:
-        step = reduction_step(x)
+        step, _ = reduction_step(x)
     except NormalizeError as exc:
         return f"{type(exc).__name__}: {exc}"
     return f"{word_to_string(step.letters)} {step.case} {step.cx_before}->{step.cx_after}"

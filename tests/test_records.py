@@ -6,10 +6,10 @@ and with the reprs the golden digests and error messages were made with.
 import pytest
 
 from plumbtwist.category import CategoryParams, category_for, make_params
-from plumbtwist.complexes import Morphism, Summand, Violation, single_core
+from plumbtwist.complexes import Morphism, Summand, TwistedComplex, Violation, single_core
 from plumbtwist.covers import INFINITE, BettiVector, BoundaryRankReport, CoverError, CoverSpec, truncation_feasibility
 from plumbtwist.linalg import Field
-from plumbtwist.normalizer import admissible, complexity, normalize, reduction_step
+from plumbtwist.normalizer import TraceEntry, admissible, complexity, normalize, reduction_step
 from plumbtwist.twists import BraidLetter, apply_braid
 
 from reference import shift_normalized
@@ -33,7 +33,6 @@ RECORDS = {
     "BoundaryRankReport": lambda: BoundaryRankReport({0: 1, 1: 1}, 2, True, (1, 1), True),
     "ComplexityReport": lambda: complexity(single_core(P, 0)),
     "AdmissibleReport": lambda: admissible(single_core(P, 0)),
-    "ReductionStep": lambda: reduction_step(shift_normalized(apply_braid("s1", single_core(P, 0)))[0]),
     "TraceEntry": lambda: _certificate().trace[0],
     "Certificate": _certificate,
     "BraidLetter": lambda: BraidLetter(0, 1),
@@ -49,6 +48,13 @@ def test_record_attributes_cannot_be_assigned(name):
     with pytest.raises(AttributeError):
         setattr(record, attribute, 7)
     assert getattr(record, attribute) == before
+
+
+def test_reduction_step_returns_its_trace_entry_and_result():
+    step = reduction_step(shift_normalized(apply_braid("s1", single_core(P, 0)))[0])
+    assert type(step) is tuple and len(step) == 2
+    entry, result = step
+    assert type(entry) is TraceEntry and type(result) is TwistedComplex
 
 
 def test_value_types_hash_like_their_field_tuples():
