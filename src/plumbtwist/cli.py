@@ -4,8 +4,9 @@ Command-line front end.
 Every command reads complex documents in the JSON format of serialize.py and
 writes one canonical JSON report to stdout (rank-table writes CSV instead).
 Exit codes: 0 on success, 1 on mathematical rejection (invalid or
-inadmissible input, incompatible cover, exhausted orbit search), 2 on usage
-or schema errors and on an --out path that cannot be written.
+inadmissible input, incompatible cover, no orbit witness), 2 on usage
+or schema errors, on a rank-table --k above MAX_RANK_TABLE_K and on an --out
+path that cannot be written.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
 goes to stderr and only with --timing. A report's "inputs" field is the
 sha256 of the arguments, --timing left out, and of the text of every
@@ -43,6 +44,10 @@ from .serialize import (
 from .twists import SearchExhausted, apply_braid, core_orbit_witness, parse_word, twist, word_to_string
 
 OK, REJECTED, USAGE = 0, 1, 2
+
+# rank-table's largest --k. Every (s1 s0)^k Q0 stays short, so --k bounds the number of steps,
+# which nothing else does; the tests, goldens and benchmark ask for k <= 8.
+MAX_RANK_TABLE_K = 1000
 
 class CliFailure(Exception):
     def __init__(self, code: int, reason: str, detail: str):
@@ -236,6 +241,8 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
     if cmd == "rank-table":
         if args.k < 0:
             raise CliFailure(USAGE, "usage-error", f"--k must be a non-negative integer, got {args.k}")
+        if args.k > MAX_RANK_TABLE_K:
+            raise CliFailure(USAGE, "budget-exceeded", f"--k must be at most {MAX_RANK_TABLE_K}, got {args.k}")
         params = _params_from_args(args)
         q0 = single_core(params, 0)
         lines = ["k,total_rank"]

@@ -6,7 +6,9 @@ from plumbtwist import complexes
 from plumbtwist.category import make_params
 from plumbtwist.complexes import single_core
 from plumbtwist.linalg import Matrix, echelon_of, kernel_and_image_tops
-from plumbtwist.twists import LETTERS, apply_braid
+from plumbtwist.twists import apply_braid
+
+from reference import LETTERS
 
 
 def random_word(rng: random.Random, max_len: int, min_len: int = 1):

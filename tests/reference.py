@@ -11,6 +11,11 @@ the quasi-isomorphism oracle before it looked for a diagonal isomorphism:
 after the multiset check it always builds the degree-0 kernel and samples
 it, so it is the reference for every pair the diagonal stage declines.
 
+The braid-word search that twists.core_orbit_witness replaced with one
+checked word: braid_images walks every word over LETTERS, shortest first,
+and the tests pin that its first word carrying Q0 to a shifted Q1 is the
+library's witness.
+
 Oracles for the normalizer, which no library code calls. shift_normalized
 is the frame with lowest occupied position 0, in which the step corpus of
 the normalizer goldens is pinned. first_step_holds states the end-slot
@@ -26,8 +31,9 @@ from fractions import Fraction
 from plumbtwist.complexes import (INCONCLUSIVE, NO, YES, Summand, TwistedComplex, _assemble, _compose_slots, cone,
                                   hom_complex, require_same_params, require_valid, shift)
 from plumbtwist.complexes import minimize as library_minimize
-from plumbtwist.linalg import axpy, invertible_combinations
+from plumbtwist.linalg import axpy, invertible_combinations, is_int
 from plumbtwist.normalizer import PreconditionViolated
+from plumbtwist.twists import BraidLetter, apply_letter
 
 Combo = dict
 
@@ -125,6 +131,33 @@ def equivalent(c: TwistedComplex, d: TwistedComplex, seed: int = 0) -> str:
         if library_minimize(cone(hom.morphism(0, acc))).is_empty:
             return YES
     return INCONCLUSIVE
+
+
+# -- the orbit search ----------------------------------------------------------------------
+
+LETTERS = (BraidLetter(0, 1), BraidLetter(0, -1), BraidLetter(1, 1), BraidLetter(1, -1))
+
+
+def braid_images(c: TwistedComplex, max_length: int):
+    """
+    (word, apply_braid(word, c)) for every word of length 1..max_length,
+    shortest first and in itertools.product(LETTERS, repeat=length) order
+    within one length. Each image is its prefix's image twisted once, and
+    only the images along the current prefix are held. Trusts c, as apply_braid does.
+    A max_length that is not a non-negative int raises ValueError at the call, before any twist.
+    """
+    if not (is_int(max_length) and max_length >= 0):
+        raise ValueError(f"max_length must be a non-negative integer, got {max_length!r}")
+
+    def extend(word, image, length):
+        if len(word) == length:
+            yield word, image
+            return
+        for letter in LETTERS:
+            yield from extend(word + (letter,), apply_letter(letter, image), length)
+
+    start = library_minimize(c)
+    return (pair for length in range(1, max_length + 1) for pair in extend((), start, length))
 
 
 # -- input transforms ---------------------------------------------------------------------

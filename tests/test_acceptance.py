@@ -17,14 +17,13 @@ import random
 
 import pytest
 
-from plumbtwist.category import category_for, make_params
+from plumbtwist.category import make_params
 from plumbtwist.complexes import (
     Summand,
     TwistedComplex,
     YES,
     equivalent,
     hf_ranks,
-    minimize,
     shift,
     single_core,
     total_rank,
@@ -32,7 +31,7 @@ from plumbtwist.complexes import (
 )
 from plumbtwist.covers import CoverSpec, INFINITE, decompose, fibre_rank, specialize, truncation_feasibility
 from plumbtwist.normalizer import normalize
-from plumbtwist.twists import LETTERS, apply_braid, check_braid_relation, twist
+from plumbtwist.twists import apply_braid, check_braid_relation, twist
 
 from conftest import random_word
 from reference import first_step_holds

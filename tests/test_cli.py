@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import plumbtwist
-from plumbtwist import category
+from plumbtwist import category, cli, twists
 from plumbtwist.category import MAX_BETTI, MAX_CHARACTERISTIC, MAX_N, make_params
 from plumbtwist.cli import main
 from plumbtwist.complexes import Morphism, Summand, TwistedComplex, _search_kernel, cone, direct_sum, single_core, validate
@@ -456,6 +456,26 @@ def test_cli_refuses_negative_counts(capsys, argv):
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert out["error"] == "usage-error"
     assert f"{argv[1]} must be a non-negative integer, got {argv[2]}" == out["detail"]
+
+
+def test_cli_rank_table_refuses_k_above_the_cap_before_any_twist(monkeypatch, capsys):
+    calls = []
+    real = twists.twist
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twists, "twist", counted)
+    monkeypatch.setattr(cli, "MAX_RANK_TABLE_K", 2)
+    assert main(["--n", "3", "rank-table", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "k,total_rank\n1,1\n2,1\n"
+    assert len(calls) == 4
+    calls.clear()
+    assert main(["--n", "3", "rank-table", "--k", "3"]) == 2
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out == {"error": "budget-exceeded", "detail": "--k must be at most 2, got 3"}
+    assert calls == []
 
 
 def test_cli_refuses_absurd_n(tmp_path, capsys):

@@ -29,11 +29,10 @@ from plumbtwist.complexes import (
     minimize,
     shift,
     single_core,
-    total_rank,
     validate,
 )
 from plumbtwist.serialize import serialize_complex
-from plumbtwist.twists import LETTERS, apply_braid
+from plumbtwist.twists import apply_braid
 
 from conftest import random_word
 from reference import gauge

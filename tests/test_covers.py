@@ -14,15 +14,12 @@ from plumbtwist.complexes import (
     minimize,
     shift,
     single_core,
-    total_rank,
     validate,
     NO,
-    YES,
 )
 from plumbtwist.covers import (
     INFINITE,
     BettiVector,
-    BoundaryRankReport,
     CoverError,
     CoverSpec,
     boundary_rank_check,

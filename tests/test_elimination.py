@@ -32,9 +32,10 @@ from plumbtwist.linalg import (
     invertible_combinations,
     kernel_and_image_tops,
 )
-from plumbtwist.twists import LETTERS, apply_braid
+from plumbtwist.twists import apply_braid
 
 from conftest import apply_matrix, kernel_of, random_word, rank_of, solve_with
+from reference import LETTERS
 
 CHARACTERISTICS = (2, 5, 32003, 0)
 

@@ -16,7 +16,9 @@ from plumbtwist.complexes import ComplexError, Summand, TwistedComplex, hf_ranks
 from plumbtwist.covers import CoverError, CoverSpec, fibre_rank
 from plumbtwist.linalg import Field, FieldError
 from plumbtwist import twists
-from plumbtwist.twists import BraidLetter, braid_images, core_orbit_witness, twist
+from plumbtwist.twists import BraidLetter, core_orbit_witness, twist
+
+from reference import braid_images
 
 P = make_params(3)
 Q0 = single_core(P, 0)

@@ -18,9 +18,7 @@ from plumbtwist.complexes import (
 )
 from plumbtwist import complexes, normalizer, twists
 from plumbtwist.normalizer import (
-    Certificate,
     CertificateError,
-    ComplexityNotReduced,
     InadmissibleInput,
     NormalizeError,
     NormalizerDeadEnd,
@@ -31,10 +29,10 @@ from plumbtwist.normalizer import (
     reduction_step,
     slot_weight,
 )
-from plumbtwist.twists import LETTERS, BraidLetter, apply_braid
+from plumbtwist.twists import BraidLetter, apply_braid
 
 from conftest import braid_corpus, random_word, refuse_oracle
-from reference import first_step_holds, gauge, relabel, shift_normalized
+from reference import LETTERS, first_step_holds, gauge, relabel, shift_normalized
 from test_normalizer_golden import CASES, inadmissible_corpus
 
 

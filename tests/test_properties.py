@@ -47,11 +47,11 @@ from plumbtwist.covers import CoverSpec, specialize
 from plumbtwist.linalg import echelon_of
 from plumbtwist.normalizer import normalize
 from plumbtwist.serialize import DocumentError, ValidationRejection, complex_to_dict, parse_complex, serialize_complex
-from plumbtwist.twists import LETTERS, BraidLetter, apply_braid, apply_letter
+from plumbtwist.twists import BraidLetter, apply_braid, apply_letter
 
 import reference
 from conftest import random_word
-from reference import gauge
+from reference import LETTERS, gauge
 
 CHARACTERISTICS = (2, 32003, 0)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from plumbtwist import complexes
+from plumbtwist import complexes, twists
 from plumbtwist.category import ParameterError, make_params
 from plumbtwist.complexes import (
     YES,
@@ -11,7 +11,6 @@ from plumbtwist.complexes import (
     direct_sum,
     equivalent,
     hf_ranks,
-    minimize,
     shift,
     single_core,
     total_rank,
@@ -19,11 +18,9 @@ from plumbtwist.complexes import (
 )
 from plumbtwist.serialize import serialize_complex
 from plumbtwist.twists import (
-    LETTERS,
     BraidLetter,
     SearchExhausted,
     apply_braid,
-    braid_images,
     check_braid_relation,
     core_orbit_witness,
     parse_word,
@@ -32,6 +29,7 @@ from plumbtwist.twists import (
 )
 
 from conftest import braid_corpus, random_word, refuse_oracle
+from reference import LETTERS, braid_images
 
 
 @pytest.fixture(scope="module", params=[3, 4])
@@ -208,6 +206,38 @@ def test_braid_images_equal_apply_braid_from_scratch(characteristic):
         want = [(word, serialize_complex(apply_braid(word, c)))
                 for length in (1, 2, 3) for word in itertools.product(LETTERS, repeat=length)]
         assert got == want
+
+
+@pytest.mark.parametrize("characteristic", (2, 5, 32003, 0))
+def test_core_orbit_witness_is_the_first_word_of_the_reference_search(characteristic):
+    for n in range(3, 7):
+        q0 = single_core(make_params(n, characteristic), 0)
+        first = next((word, -x.summands[0].position) for word, x in braid_images(q0, 4)
+                     if len(x) == 1 and x.summands[0].vertex == 1 and not x.delta)
+        assert first == core_orbit_witness(n, characteristic)
+
+
+def test_core_orbit_witness_twists_twice_and_never_before_its_checks(monkeypatch):
+    calls = []
+    real = twists.twist
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twists, "twist", counted)
+    for max_length in (2, 4, 100):
+        calls.clear()
+        assert core_orbit_witness(3, max_length=max_length) == (parse_word("s1 s0"), -1)
+        assert len(calls) == 2
+    calls.clear()
+    for max_length in (0, 1):
+        with pytest.raises(SearchExhausted, match=f"length <= {max_length} "):
+            core_orbit_witness(3, max_length=max_length)
+    for max_length in (-1, 2.0, True, None):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            core_orbit_witness(3, max_length=max_length)
+    assert calls == []
 
 
 def test_core_orbit_witness_needs_no_oracle(monkeypatch):
