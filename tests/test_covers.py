@@ -113,6 +113,9 @@ def test_decompose_split_sum(P2):
     pieces = decompose(direct_sum(single_core(P2, 0), single_core(P2, 1)))
     assert len(pieces) == 2
     assert sorted(p.summands[0].vertex for p in pieces) == [0, 1]
+    # A complex that minimizes to nothing has no pieces.
+    q0 = single_core(P2, 0)
+    assert decompose(cone(Morphism(q0, q0, 0, {(0, 0): {"e0": 1}}))) == []
 
 
 def test_decompose_obstruction_after_specialize(P2, PQ):

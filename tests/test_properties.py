@@ -282,16 +282,23 @@ def test_diagonal_witnesses_are_isomorphisms_and_declines_match_the_search(data,
 
 def test_diagonal_stage_declines_what_no_rescaling_maps():
     # A cover pair (its slots differ), a reordered sum whose two Q0[-2] summands tie in
-    # minimize's order, and an entry of two names scaled by a different ratio per name.
+    # minimize's order, the two sides of the braid relation on two braid images (13 and 8
+    # summands) whose tied summands minimize to different slots, an entry of two names
+    # scaled by a different ratio per name, and one slot holding a different name per side.
     q0 = single_core(make_params(3), 0)
+    q1 = single_core(make_params(3), 1)
     x = apply_braid("s0 S1 s0 S1", q0)
     spec = specialize(x, CoverSpec(0))
     y = shift(q0, -2)
     pairs = [(x, spec, INCONCLUSIVE), (direct_sum(x, y), direct_sum(y, x), YES)]
+    for image in (apply_braid("s1 S0 s1 S0 s1", q0), apply_braid("S0 s1 S0 s1", q1)):
+        pairs.append((apply_braid("s0 s1 s0", image), apply_braid("s1 s0 s1", image), YES))
     params = make_params(3, 32003, (1, 2, 2, 1))
     summands = [Summand(0, 0), Summand(0, 0)]
     combo = TwistedComplex(params, summands, {(0, 1): {"x1.1": 1, "x1.2": 1}})
     pairs.append((combo, TwistedComplex(params, summands, {(0, 1): {"x1.1": 1, "x1.2": 2}}), INCONCLUSIVE))
+    one = TwistedComplex(params, summands, {(0, 1): {"x1.1": 1}})
+    pairs.append((one, TwistedComplex(params, summands, {(0, 1): {"x1.2": 1}}), INCONCLUSIVE))
     for c, d, verdict in pairs:
         assert minimize(c).summand_multiset() == minimize(d).summand_multiset()
         assert _witness_checked(c, d) is None
