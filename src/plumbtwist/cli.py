@@ -4,9 +4,10 @@ Command-line front end.
 Every command reads complex documents in the JSON format of serialize.py and
 writes one canonical JSON report to stdout (rank-table writes CSV instead).
 Exit codes: 0 on success, 1 on mathematical rejection (invalid or
-inadmissible input, incompatible cover, no orbit witness), 2 on usage
-or schema errors, on a rank-table --k above MAX_RANK_TABLE_K and on an --out
-path that cannot be written.
+inadmissible input, incompatible cover, an orbit word s1 s0 that fails its
+check), 2 on usage or schema errors (an unknown option included), on a
+rank-table --k above MAX_RANK_TABLE_K and on an --out path that cannot be
+written.
 Outputs are bit-identical across runs for fixed inputs and --seed; timing
 goes to stderr and only with --timing. A report's "inputs" field is the
 sha256 of the arguments, --timing left out, and of the text of every
@@ -155,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betti", required=True, help="comma-separated Betti vector")
     p = add("rank-table", help="CSV of total ranks of hf(Q0, (T1 T0)^k Q0)")
     p.add_argument("--k", type=int, default=8)
-    p = add("orbit-witness", help="braid word carrying Q0 to a shifted Q1")
-    p.add_argument("--max-length", type=int, default=4)
+    add("orbit-witness", help="braid word carrying Q0 to a shifted Q1")
     return parser
 
 
@@ -253,15 +253,11 @@ def run(args, documents: list[str]) -> tuple[dict | str, int]:
         return "\n".join(lines) + "\n", OK
 
     if cmd == "orbit-witness":
-        if args.max_length < 0:
-            raise CliFailure(USAGE, "usage-error",
-                             f"--max-length must be a non-negative integer, got {args.max_length}")
         params = _params_from_args(args)
         if not params.spherical:
             raise CliFailure(USAGE, "usage-error", "the orbit search needs spherical cores (drop --betti0)")
         try:
-            word, shiftval = core_orbit_witness(params.n, params.field.characteristic,
-                                                max_length=args.max_length)
+            word, shiftval = core_orbit_witness(params.n, params.field.characteristic)
         except SearchExhausted as exc:
             return {"error": "search-exhausted", "detail": str(exc)}, REJECTED
         return {"word": word_to_string(word), "shift": shiftval}, OK

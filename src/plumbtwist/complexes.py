@@ -69,9 +69,11 @@ class TwistedComplex:
     construction may leave a whole value boxed, equal to its int), and is
     a dict owned by this complex alone. The constructor establishes that for
     outside input (the parser, user code) by coercing every value into the
-    field. The library's own constructions (shift, restrictions, direct_sum,
-    cone, minimize, the inverse twist, specialize) build a clean delta
-    themselves and hand it over through _assemble, which checks nothing.
+    field, and refuses with ComplexError a slot that is not a pair of ints
+    (validate checks their range). The library's own constructions (shift,
+    restrictions, direct_sum, cone, minimize, the inverse twist, specialize)
+    build a clean delta themselves and hand it over through _assemble, which
+    checks nothing.
     """
 
     __slots__ = ("params", "summands", "delta")
@@ -117,11 +119,14 @@ class TwistedComplex:
 
 
 def _cleaned(field, delta) -> dict[tuple[int, int], Combo]:
-    """delta in new dicts, every value coerced into the field, zero values and empty combos dropped."""
+    """delta in new dicts, every value coerced into the field, zero values and empty combos dropped;
+    a slot that is not a pair of ints raises ComplexError."""
     element = field.element
     p = field.characteristic
     clean = {}
     for slot, combo in delta.items():
+        if not (isinstance(slot, tuple) and len(slot) == 2 and is_int(slot[0]) and is_int(slot[1])):
+            raise ComplexError(f"delta slot {slot!r} is not a pair of integer summand indices")
         kept = {}
         for name, c in combo.items():
             # Coerce only non-canonical values: an int in [0, p); over Q an int, or a Fraction that is not whole.
@@ -247,6 +252,32 @@ def _find_cycle(size: int, edges: Iterable[tuple[int, int]]) -> list[int] | None
                 color[path.pop()] = 2
                 branches.pop()
     return None
+
+
+def _pieces(size: int, slots: Iterable[tuple[int, int]]) -> list[list[tuple[int, tuple[int, int] | None]]]:
+    """
+    The connected pieces of the graph on summands 0..size-1 whose edges are slots, in the
+    order of their smallest summand. A piece lists (summand, slot that reached it) in
+    breadth-first order from its smallest summand, which no slot reached (None).
+    """
+    near: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for slot in slots:
+        near[slot[0]].append(slot)
+        near[slot[1]].append(slot)
+    seen = [False] * size
+    pieces = []
+    for root in range(size):
+        if not seen[root]:
+            seen[root] = True
+            piece = [(root, None)]
+            for k, _ in piece:  # the loop reaches the members it appends
+                for slot in near[k]:
+                    other = slot[0] + slot[1] - k
+                    if not seen[other]:
+                        seen[other] = True
+                        piece.append((other, slot))
+            pieces.append(piece)
+    return pieces
 
 
 def _grouped(delta, side: int) -> dict[int, list[tuple[int, Combo]]]:
@@ -705,33 +736,26 @@ def _diagonal_witness(c: TwistedComplex, d: TwistedComplex) -> Morphism | None:
     A closed map f: c -> d that is lam_i times the unit on each summand i, or
     None. Only c and d with the same summands and the same slots are tried.
     On slot (i, j), D f is lam_i d_ij - lam_j c_ij, so lam is set to 1 on the
-    first summand of each piece of the delta graph and carried along one
-    basis name of each entry; f is returned only if D f is then zero. Such
-    an f is an isomorphism: its inverse, 1/lam_i on each summand, is closed
-    by the same equations.
+    first member of each piece of the delta graph (_pieces) and carried along
+    the first basis name of c_ij on the slot that reached each other member;
+    f is returned only if D f is then zero. Such an f is an isomorphism: its
+    inverse, 1/lam_i on each summand, is closed by the same equations.
     """
     if c.summands != d.summands or c.delta.keys() != d.delta.keys():
         return None
     field = c.params.field
-    steps: list[list[tuple]] = [[] for _ in c.summands]  # (j, a, b) with lam_j = lam_i a / b
-    for (i, j), combo in c.delta.items():
-        name, x = next(iter(combo.items()))
-        y = d.delta[i, j].get(name)
-        if y is None:
-            return None
-        steps[i].append((j, y, x))
-        steps[j].append((i, x, y))
-    lam: list = [None] * len(c)
-    for root in range(len(c)):
-        if lam[root] is None:
-            lam[root] = field.one
-            todo = [root]
-            while todo:
-                i = todo.pop()
-                for j, a, b in steps[i]:
-                    if lam[j] is None:
-                        lam[j] = field.mul(lam[i], field.mul(a, field.inv(b)))
-                        todo.append(j)
+    lam = [field.one] * len(c)  # kept on the first member of each piece
+    for piece in _pieces(len(c), c.delta):
+        for k, slot in piece[1:]:
+            name, x = next(iter(c.delta[slot].items()))
+            y = d.delta[slot].get(name)
+            if y is None:
+                return None
+            i, j = slot
+            if k == j:
+                lam[j] = field.mul(lam[i], field.mul(y, field.inv(x)))
+            else:
+                lam[i] = field.mul(lam[j], field.mul(x, field.inv(y)))
     f = Morphism(c, d, 0, {(i, i): {f"e{s.vertex}": x} for i, (s, x) in enumerate(zip(c.summands, lam))})
     return None if f.differential().comps else f
 

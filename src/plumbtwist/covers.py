@@ -26,6 +26,7 @@ from .category import betti_problem, is_vertex
 from .complexes import (
     TwistedComplex,
     _assemble,
+    _pieces,
     hf_ranks,
     minimize,
     require_valid,
@@ -92,30 +93,14 @@ def specialize(c: TwistedComplex, cover: CoverSpec) -> TwistedComplex:
 def decompose(c: TwistedComplex) -> list[TwistedComplex]:
     """
     Minimize, then split into connected components of the summand graph whose
-    edges are nonzero entries; the direct sum of the pieces is the minimized
-    input. Over a field this is the splitting into indecomposables whenever
-    the pieces are connected with unit degree-0 endomorphisms.
+    edges are nonzero entries (complexes._pieces); the direct sum of the pieces
+    is the minimized input, and an empty one has none. Over a field this is the
+    splitting into indecomposables whenever the pieces are connected with unit
+    degree-0 endomorphisms.
     """
     require_valid(c, "decompose input")
     m = minimize(c)
-    if m.is_empty:
-        return []
-    parent = list(range(len(m)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in m.delta:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for k in range(len(m)):
-        groups.setdefault(find(k), []).append(k)
-    pieces = restrictions(m, [sorted(members) for members in groups.values()])
+    pieces = restrictions(m, [sorted(k for k, _ in piece) for piece in _pieces(len(m), m.delta)])
     pieces.sort(key=lambda piece: min((s.position, s.vertex) for s in piece.summands))
     return pieces
 

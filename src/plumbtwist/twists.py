@@ -145,28 +145,18 @@ def check_braid_relation(c: TwistedComplex, seed: int = 0) -> str:
 
 
 class SearchExhausted(RuntimeError):
-    """No orbit witness within the allowed length, or s1 s0 failed to carry Q0 to a
-    shifted Q1; at desk scale either falsifies the expectation that the two cores
-    lie in one braid orbit, so shout."""
+    """s1 s0 failed to carry Q0 to a shifted Q1; that falsifies the expectation that the
+    two cores lie in one braid orbit, so shout."""
 
 
-def core_orbit_witness(n: int, characteristic: int = DEFAULT_PRIME, max_length: int = 4) -> tuple[BraidWord, int]:
+def core_orbit_witness(n: int, characteristic: int = DEFAULT_PRIME) -> tuple[BraidWord, int]:
     """
     The braid word s1 s0 and the shift s with apply_braid(s1 s0, Q0) = Q1[s] on the nose
     (s = 2 - n), checked by applying the word once. On Khovanov-Seidel slopes s1 s0 takes
-    (0, 1) to (1, 0) and no single letter does, so no shorter word exists and a
-    max_length below 2 raises SearchExhausted. A max_length that is not a non-negative
-    int raises ValueError before any twist.
+    (0, 1) to (1, 0) and no single letter does, so no shorter word exists.
     """
-    q0 = single_core(make_params(n, characteristic), 0)
-    if not (is_int(max_length) and max_length >= 0):
-        raise ValueError(f"max_length must be a non-negative integer, got {max_length!r}")
-    if max_length < 2:
-        raise SearchExhausted(
-            f"no braid word of length <= {max_length} carries Q0 to a shifted Q1 at n={n}; "
-            "this contradicts the expected single-orbit picture and needs investigation")
     word = parse_word("s1 s0")
-    result = apply_braid(word, q0)
+    result = apply_braid(word, single_core(make_params(n, characteristic), 0))
     if len(result) == 1 and result.summands[0].vertex == 1 and not result.delta:
         return word, -result.summands[0].position
     raise SearchExhausted(

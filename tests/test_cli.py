@@ -442,18 +442,25 @@ def test_cli_ill_typed_names_are_rejected_not_crashed(tmp_path, capsys, name):
     assert json.loads(capsys.readouterr().out)["outputs"]["error"] == "validation-error"
 
 
-@pytest.mark.parametrize("length", ["0", "1"])
-def test_cli_orbit_witness_search_exhausted(capsys, length):
-    assert main(["--n", "3", "orbit-witness", "--max-length", length]) == 1
+def test_cli_orbit_witness_search_exhausted(monkeypatch, capsys):
+    # Forced miss: the word leaves Q0 where it was, so its image is no shifted Q1.
+    monkeypatch.setattr(twists, "apply_braid", lambda word, c: c)
+    assert main(["--n", "3", "orbit-witness"]) == 1
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert out["error"] == "search-exhausted"
-    assert f"length <= {length}" in out["detail"]
+    assert out["detail"].startswith("s1 s0 does not carry Q0 to a shifted Q1 at n=3")
 
 
 @pytest.mark.parametrize("argv", [["rank-table", "--k", "-3"], ["orbit-witness", "--max-length", "-2"]])
 def test_cli_refuses_negative_counts(capsys, argv):
     assert main(["--n", "3", *argv]) == 2
-    out = json.loads(capsys.readouterr().out)["outputs"]
+    captured = capsys.readouterr()
+    if argv[0] == "orbit-witness":
+        # orbit-witness takes no length at all, so argparse refuses the option itself.
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-length -2" in captured.err
+        return
+    out = json.loads(captured.out)["outputs"]
     assert out["error"] == "usage-error"
     assert f"{argv[1]} must be a non-negative integer, got {argv[2]}" == out["detail"]
 

@@ -140,7 +140,7 @@ def cases(characteristic: int, path) -> dict[str, list[str]]:
         "feasibility": ["--n", "3", "feasibility", "--betti", "1,1,1,1"],
         "feasibility-beta-1": ["--n", "4", "feasibility", "--betti", "1,0,1,0,1"],
         "rank-table": ["--char", str(characteristic), "rank-table", "--k", "4"],
-        "orbit-witness": ["--char", str(characteristic), "orbit-witness", "--max-length", "3"],
+        "orbit-witness": ["--char", str(characteristic), "orbit-witness"],
     }
 
 

@@ -239,6 +239,8 @@ def test_feasibility_rejects_bad_vectors():
         BettiVector((1, -1, 1))
     with pytest.raises(CoverError):
         BettiVector((1, True, 1))
+    with pytest.raises(CoverError, match="needs at least degrees 0 and n"):
+        BettiVector((1,))
 
 
 def test_feasibility_symbolic_sweep():
@@ -304,3 +306,15 @@ def test_boundary_rank_requires_single_sphere(P4):
     c = direct_sum(single_core(P4, 1), single_core(P4, 1))
     with pytest.raises(CoverError):
         boundary_rank_check(c)
+    # One sphere is not enough: the input must be admissible, have a vertex-0 part, and that
+    # part must square to zero on its own. Below, a -> s -> b composes to f0, which the unit
+    # path a -> m -> b cancels in the whole complex but not in its vertex-0 part {a, m, b}.
+    inadmissible = direct_sum(single_core(P4, 1), shift(single_core(P4, 0), -4))
+    through_sphere = TwistedComplex(
+        P4, [Summand(0, 0), Summand(1, 0), Summand(0, 1), Summand(0, -2)],
+        {(0, 1): {"p": 1}, (1, 3): {"q": 1}, (0, 2): {"e0": 1}, (2, 3): {"f0": -1}})
+    for c, message in ((inadmissible, "needs an admissible complex"),
+                       (single_core(P4, 1), "no vertex-0 summands to check"),
+                       (through_sphere, r"vertex-0 part is not itself a twisted complex: delta\^2 at Q0@0->Q0@-2")):
+        with pytest.raises(CoverError, match=message):
+            boundary_rank_check(c)

@@ -1,7 +1,8 @@
 """
 The integer rule: where the package expects an integer (a characteristic, a
-vertex, a twist power, a summand position, a word length), every entry point
-refuses a bool, a float, a string and None with its own exception type.
+vertex, a twist power, a summand position, either index of a delta slot),
+every entry point refuses a bool, a float, a string and None with its own
+exception type.
 linalg.is_int is the one place that tells a bool from an int.
 """
 
@@ -16,7 +17,7 @@ from plumbtwist.complexes import ComplexError, Summand, TwistedComplex, hf_ranks
 from plumbtwist.covers import CoverError, CoverSpec, fibre_rank
 from plumbtwist.linalg import Field, FieldError
 from plumbtwist import twists
-from plumbtwist.twists import BraidLetter, core_orbit_witness, twist
+from plumbtwist.twists import BraidLetter, twist
 
 from reference import braid_images
 
@@ -33,9 +34,10 @@ ENTRY_POINTS = {
     "CoverSpec": (CoverSpec, CoverError),
     "fibre_rank vertex": (lambda v: fibre_rank(Q0, v), CoverError),
     "twist power": (lambda v: twist(Q0, 0, v), ValueError),
-    "core_orbit_witness max_length": (lambda v: core_orbit_witness(3, max_length=v), ValueError),
     "validate vertex": (lambda v: require_valid(TwistedComplex(P, [Summand(v, 0)])), ComplexError),
     "validate position": (lambda v: require_valid(TwistedComplex(P, [Summand(0, v)])), ComplexError),
+    "TwistedComplex slot": (lambda v: TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {(v, 1): {"p": 1}}),
+                            ComplexError),
 }
 
 
@@ -63,16 +65,20 @@ def test_float_and_bool_letters_are_refused():
 
 
 def test_a_negative_max_length_is_refused_before_any_twist(monkeypatch):
-    # A negative length is the caller's error, not an exhausted search: SearchExhausted
-    # would report that the single-orbit picture fails.
+    # The reference search's length bound: a negative one is the caller's error.
     def refuse(*args, **kwargs):
         raise AssertionError("twisted before refusing max_length")
 
     monkeypatch.setattr(twists, "twist", refuse)
     with pytest.raises(ValueError, match="non-negative integer, got -1"):
-        core_orbit_witness(3, max_length=-1)
-    with pytest.raises(ValueError, match="non-negative integer, got -1"):
         braid_images(Q0, -1)  # at the call, not at the first next()
+
+
+@pytest.mark.parametrize("slot", [(0, 1, 2), (0,), 0, "01"], ids=repr)
+def test_a_delta_slot_that_is_not_a_pair_is_refused(slot):
+    # Without the rule, (0, 1, 2) reached validate and died unpacking it with a ValueError.
+    with pytest.raises(ComplexError, match="is not a pair of integer summand indices"):
+        TwistedComplex(P, [Summand(0, 0), Summand(1, 0)], {slot: {"p": 1}})
 
 
 def test_validate_refuses_a_bool_vertex_and_a_float_position():

@@ -76,6 +76,8 @@ def test_element_coercion_and_format():
     f5 = Field(5)
     assert f5.element("7") == 2
     assert f5.element(Fraction(1, 2)) == 3  # 1/2 = 3 mod 5
+    with pytest.raises(FieldError, match="1/5 has no image in F_5"):
+        f5.element(Fraction(1, 5))
     assert f5.format(f5.element(-1)) == "4"
     fq = Field(0)
     assert fq.element("3/6") == Fraction(1, 2)

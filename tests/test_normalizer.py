@@ -10,6 +10,7 @@ from plumbtwist.complexes import (
     TwistedComplex,
     cone,
     direct_sum,
+    empty_complex,
     hf_ranks,
     minimize,
     shift,
@@ -82,6 +83,8 @@ def zigzag_length_oracle(c):
 
 def test_complexity_single_summand(P):
     assert complexity(single_core(P, 0)).cx == 0
+    with pytest.raises(PreconditionViolated, match="complexity of an empty complex is undefined"):
+        complexity(empty_complex(P))
 
 
 def test_complexity_two_slot_example(P):
@@ -254,6 +257,8 @@ def test_normalize_refuses_contractible_input_without_admissibility(P, monkeypat
         identity = {(i, i): {f"e{s.vertex}": 1} for i, s in enumerate(c.summands)}
         with pytest.raises(PreconditionViolated, match="quasi-isomorphic to zero, so it lies in no core's orbit"):
             normalize(cone(Morphism(c, c, 0, identity)))
+    with pytest.raises(PreconditionViolated, match="the empty complex lies in no core's orbit"):
+        normalize(empty_complex(P))
 
 
 @pytest.mark.parametrize("characteristic", (2, 32003, 0))

@@ -193,9 +193,11 @@ def test_core_orbit_witness_rejects_bad_dimension():
         core_orbit_witness(2)
 
 
-def test_core_orbit_witness_search_exhaustion_is_loud():
-    with pytest.raises(SearchExhausted):
-        core_orbit_witness(3, max_length=0)
+def test_core_orbit_witness_search_exhaustion_is_loud(monkeypatch):
+    # A word that leaves Q0 where it was misses Q1: the check, not a bound, refuses it.
+    monkeypatch.setattr(twists, "apply_braid", lambda word, c: c)
+    with pytest.raises(SearchExhausted, match="s1 s0 does not carry Q0 to a shifted Q1 at n=3"):
+        core_orbit_witness(3)
 
 
 @pytest.mark.parametrize("characteristic", (2, 32003, 0))
@@ -226,17 +228,14 @@ def test_core_orbit_witness_twists_twice_and_never_before_its_checks(monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(twists, "twist", counted)
-    for max_length in (2, 4, 100):
+    for n in (3, 4):
         calls.clear()
-        assert core_orbit_witness(3, max_length=max_length) == (parse_word("s1 s0"), -1)
+        assert core_orbit_witness(n) == (parse_word("s1 s0"), 2 - n)
         assert len(calls) == 2
     calls.clear()
-    for max_length in (0, 1):
-        with pytest.raises(SearchExhausted, match=f"length <= {max_length} "):
-            core_orbit_witness(3, max_length=max_length)
-    for max_length in (-1, 2.0, True, None):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            core_orbit_witness(3, max_length=max_length)
+    for n in (2, 3.0, True, None):
+        with pytest.raises(ParameterError):
+            core_orbit_witness(n)
     assert calls == []
 
 
