@@ -442,9 +442,17 @@ def test_cli_ill_typed_names_are_rejected_not_crashed(tmp_path, capsys, name):
     assert json.loads(capsys.readouterr().out)["outputs"]["error"] == "validation-error"
 
 
-def test_cli_orbit_witness_search_exhausted(monkeypatch, capsys):
-    # Forced miss: the word leaves Q0 where it was, so its image is no shifted Q1.
-    monkeypatch.setattr(twists, "apply_braid", lambda word, c: c)
+ORBIT_MISSES = (
+    # The word leaves Q0 where it was: one summand, but at the wrong vertex.
+    lambda word, c: c,
+    # The word doubles a Q1: the right vertex, but two summands.
+    lambda word, c: direct_sum(single_core(c.params, 1), single_core(c.params, 1)),
+)
+
+
+@pytest.mark.parametrize("miss", range(len(ORBIT_MISSES)))
+def test_cli_orbit_witness_search_exhausted(monkeypatch, capsys, miss):
+    monkeypatch.setattr(twists, "apply_braid", ORBIT_MISSES[miss])
     assert main(["--n", "3", "orbit-witness"]) == 1
     out = json.loads(capsys.readouterr().out)["outputs"]
     assert out["error"] == "search-exhausted"
